@@ -122,20 +122,33 @@ class VectorMaskProbe {
   platform::WsBuf<std::uint8_t, detail::ws_vec_mask_allow> allow_h_;
 };
 
-/// Row-cursor probe over a matrix mask stored by row. `begin_row(r)` then
-/// `test(j)` with non-decreasing j within the row.
+/// The row view a matrix mask is read through: `mask.by_row()`, or `no_mask`
+/// when unmasked. For a mask in a dense form or stored by column this is a
+/// lazily built, cached copy, and building it is not thread-safe — so an
+/// operation resolves it once, on the calling thread, before any parallel
+/// region, and its kernels read only the returned store.
 template <class MaskArg>
+const auto& mask_rows(const MaskArg& mask) {
+  if constexpr (is_masked<MaskArg>) {
+    return mask.by_row();
+  } else {
+    (void)mask;
+    return no_mask;
+  }
+}
+
+/// Row-cursor probe over a resolved mask row view (see mask_rows()).
+/// `begin_row(r)` then `test(j)` with non-decreasing j within the row.
+template <class MaskRows>
 class MatrixMaskProbe {
  public:
-  MatrixMaskProbe(const MaskArg& mask, const Descriptor& desc)
-      : structural_(desc.mask_structural), complement_(desc.mask_complement) {
-    if constexpr (is_masked<MaskArg>) {
-      store_ = &mask.by_row();
-    }
-  }
+  MatrixMaskProbe(const MaskRows& rows, const Descriptor& desc)
+      : store_(&rows),
+        structural_(desc.mask_structural),
+        complement_(desc.mask_complement) {}
 
   void begin_row(Index r) noexcept {
-    if constexpr (is_masked<MaskArg>) {
+    if constexpr (is_masked<MaskRows>) {
       auto k = store_->find_vec(r);
       pos_ = k ? store_->vec_begin(*k) : 0;
       end_ = k ? store_->vec_end(*k) : 0;
@@ -147,11 +160,12 @@ class MatrixMaskProbe {
   /// Mask verdict at (current row, column j). j must not decrease between
   /// calls within a row.
   [[nodiscard]] bool test(Index j) noexcept {
-    if constexpr (is_masked<MaskArg>) {
+    if constexpr (is_masked<MaskRows>) {
+      using MV = std::decay_t<decltype(store_->x[0])>;
       while (pos_ < end_ && store_->i[pos_] < j) ++pos_;
       bool m = false;
       if (pos_ < end_ && store_->i[pos_] == j) {
-        m = structural_ || store_->x[pos_] != mask_value_t{};
+        m = structural_ || store_->x[pos_] != MV{};
       }
       return complement_ ? !m : m;
     } else {
@@ -161,20 +175,7 @@ class MatrixMaskProbe {
   }
 
  private:
-  template <class M>
-  struct value_of {
-    using type = int;
-  };
-  template <class M>
-    requires requires { typename M::value_type; }
-  struct value_of<M> {
-    using type = typename M::value_type;
-  };
-  using mask_value_t = typename value_of<std::decay_t<MaskArg>>::type;
-  using store_t =
-      std::conditional_t<is_masked<MaskArg>, SparseStore<mask_value_t>, int>;
-
-  const store_t* store_ = nullptr;
+  const MaskRows* store_;
   Index pos_ = 0;
   Index end_ = 0;
   bool structural_ = false;
@@ -372,7 +373,8 @@ void write_back(Matrix<CT>& c, const MaskArg& mask, const Accum& accum,
     return;
   } else {
     const auto& cs = c.by_row();
-    MatrixMaskProbe<MaskArg> probe(mask, desc);
+    const auto& mrows = mask_rows(mask);
+    MatrixMaskProbe<std::decay_t<decltype(mrows)>> probe(mrows, desc);
 
     // Output is built hypersparse (rows appear as they produce entries);
     // adopt()'s policy inflates it back to standard when dense enough.

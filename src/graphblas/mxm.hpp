@@ -6,7 +6,14 @@
 //     a parallel symbolic pass counts each output row, an exclusive scan
 //     builds the pointer array, and the numeric pass writes every row into
 //     its precomputed offset — no per-chunk stores, no serial
-//     concatenation tail;
+//     concatenation tail. Masked, it works mask first (SuiteSparse's masked
+//     saxpy): each row with entries in A(i,:) scatters M(i,:) into its mark
+//     array before any product, so a plain mask skips forbidden columns
+//     before the multiply and emits the row by walking the already-sorted
+//     M(i,:) — no per-row sort — while a complemented mask skips the marked
+//     columns and sorts only the survivors. Each allowed (i,j) still folds its products in
+//     ascending k, so the values are bit-identical to the unmasked product
+//     filtered afterwards;
 //   * dot       — C(i,j) = A(i,:)·B(:,j); with a (non-complemented) mask it
 //     only computes the masked positions, and terminal monoids exit each
 //     dot early — this pairing is the "masked dot" the paper highlights;
@@ -22,7 +29,8 @@
 // per row, not row count — GraphBLAST-style merge-path balancing), and all
 // three produce bit-identical results at every thread count: Gustavson by
 // writing rows at precomputed offsets, dot and heap by concatenating
-// per-chunk stores in chunk order.
+// per-chunk stores in chunk order. mxm() resolves the mask's row view once,
+// on the calling thread, before any of them forks; the kernels only read it.
 #pragma once
 
 #include <algorithm>
@@ -92,16 +100,25 @@ Index mxm_flop_prefix(const SparseStore<AT>& ra, const SparseStore<BT>& rb,
   return platform::exclusive_scan(prefix);
 }
 
+/// Mark-array states of the mask-first saxpy, one byte per output column
+/// (the ws_mxm_present workspace). Every row returns the array to all-free.
+inline constexpr std::uint8_t kColFree = 0;    ///< untouched, unmarked
+inline constexpr std::uint8_t kColHit = 1;     ///< holds a partial sum
+inline constexpr std::uint8_t kColMarked = 2;  ///< in M(i,:), not yet hit
+
 /// Gustavson saxpy, two passes over cost-balanced chunks of A's stored
 /// rows. The symbolic pass counts each output row's entries (pattern +
 /// mask, no values), the exclusive scan turns the counts into final row
 /// offsets, and the numeric pass computes values and writes each row
 /// directly into its slot — the output is bit-identical for every chunking
 /// and thread count because offsets do not depend on either.
-template <class SR, class AT, class BT, class MaskArg>
+///
+/// Masked rows run mask first (see the file header). `mask` is the mask's
+/// row view, resolved before the call (mask_rows()), with n columns.
+template <class SR, class AT, class BT, class MaskRows>
 SparseStore<typename SR::value_type> mxm_gustavson(
     const SparseStore<AT>& ra, const SparseStore<BT>& rb, Index n,
-    const SR& sr, const MaskArg& mask, const Descriptor& desc,
+    const SR& sr, const MaskRows& mask, const Descriptor& desc,
     bool dense_native = false) {
   using ZT = typename SR::value_type;
   const Index nv = ra.nvec();
@@ -121,9 +138,9 @@ SparseStore<typename SR::value_type> mxm_gustavson(
   // lands at slot r*n+j. The symbolic pass, the per-row touched sort, and
   // the dense->sparse compaction all disappear. Chunks own disjoint row
   // ranges, so slot writes never race; slot placement is positional, so the
-  // result is bit-identical for any chunking. Unmasked only: the mask probe
-  // needs ascending j, and saxpy visits j in pattern order.
-  if constexpr (!is_masked<MaskArg>) {
+  // result is bit-identical for any chunking. Unmasked only (mxm() never
+  // asks for it under a mask).
+  if constexpr (!is_masked<MaskRows>) {
     if (dense_native && dense_form_addressable(ra.vdim, n)) {
       (void)mask;
       (void)desc;
@@ -183,6 +200,79 @@ SparseStore<typename SR::value_type> mxm_gustavson(
     (void)dense_native;
   }
 
+  // Only a plain mask restricts accumulation to marked columns; unmasked and
+  // complemented rows accumulate every unmarked column they touch.
+  const bool mask_allows = is_masked<MaskRows> && !desc.mask_complement;
+  const std::uint8_t fresh = mask_allows ? kColMarked : kColFree;
+
+  // One output row ka, in the calling thread's scratch. The symbolic pass
+  // (numeric = false_type) only counts; the numeric pass also folds values
+  // into `acc` and hands every entry to emit(j, value) in ascending j.
+  // Returns the row's entry count.
+  auto row = [&](auto numeric, Index ka, Buf<std::uint8_t>& present,
+                 Buf<Index>& touched, Buf<ZT>* acc, auto&& emit) -> Index {
+    constexpr bool kNumeric = decltype(numeric)::value;
+    if (ra.vec_begin(ka) == ra.vec_end(ka)) return 0;  // before the scatter
+    [[maybe_unused]] Index mlo = 0, mhi = 0;  // M(i,:) in the mask view
+    if constexpr (is_masked<MaskRows>) {
+      using MV = std::decay_t<decltype(mask.x[0])>;
+      if (auto km = mask.find_vec(ra.vec_id(ka))) {
+        mlo = mask.vec_begin(*km);
+        mhi = mask.vec_end(*km);
+      }
+      if (mask_allows && mlo == mhi) return 0;
+      for (Index pm = mlo; pm < mhi; ++pm) {
+        if (desc.mask_structural || mask.x[pm] != MV{})
+          present[mask.i[pm]] = kColMarked;
+      }
+    }
+    touched.clear();
+    Index cnt = 0;
+    for (Index pa = ra.vec_begin(ka); pa < ra.vec_end(ka); ++pa) {
+      auto kb = rb.find_vec(ra.i[pa]);
+      if (!kb) continue;
+      const AT aval = ra.x[pa];
+      for (Index pb = rb.vec_begin(*kb); pb < rb.vec_end(*kb); ++pb) {
+        const Index j = rb.i[pb];
+        const std::uint8_t st = present[j];
+        if (st == kColHit) {
+          if constexpr (kNumeric && !always_terminal<typename SR::add_type>) {
+            auto&& a = (*acc)[j];  // a proxy when ZT is bool
+            if (!sr.add.is_terminal(a))
+              a = sr.add(a, static_cast<ZT>(sr.mul(aval, rb.x[pb])));
+          }
+        } else if (st == fresh) {
+          present[j] = kColHit;
+          ++cnt;
+          if constexpr (kNumeric) {
+            (*acc)[j] = static_cast<ZT>(sr.mul(aval, rb.x[pb]));
+          }
+          if (!mask_allows) touched.push_back(j);
+        }
+      }
+    }
+    if constexpr (is_masked<MaskRows>) {
+      if (mask_allows) {
+        // M(i,:) is sorted: it is the output row's column order.
+        for (Index pm = mlo; pm < mhi; ++pm) {
+          const Index j = mask.i[pm];
+          if constexpr (kNumeric) {
+            if (present[j] == kColHit) emit(j, (*acc)[j]);
+          }
+          present[j] = kColFree;
+        }
+        return cnt;
+      }
+      for (Index pm = mlo; pm < mhi; ++pm) present[mask.i[pm]] = kColFree;
+    }
+    if constexpr (kNumeric) {
+      std::sort(touched.begin(), touched.end());
+      for (Index j : touched) emit(j, (*acc)[j]);
+    }
+    for (Index j : touched) present[j] = kColFree;
+    return cnt;
+  };
+
   // Single-chunk fused pass: when the flop-balancer would hand the whole
   // product to one worker anyway (few rows, or a single-core budget), the
   // symbolic pass buys nothing — its offsets only exist so parallel chunks
@@ -194,40 +284,13 @@ SparseStore<typename SR::value_type> mxm_gustavson(
     auto present_h =
         platform::Workspace::checkout<ws_mxm_present, std::uint8_t>(n);
     auto touched_h = platform::Workspace::checkout<ws_mxm_touched, Index>();
-    auto& acc = *acc_h;
-    auto& present = *present_h;
-    auto& touched = *touched_h;
-    MatrixMaskProbe<MaskArg> probe(mask, desc);
     for (Index ka = 0; ka < nv; ++ka) {
       platform::governor_poll();
-      touched.clear();
-      for (Index pa = ra.vec_begin(ka); pa < ra.vec_end(ka); ++pa) {
-        auto kb = rb.find_vec(ra.i[pa]);
-        if (!kb) continue;
-        const AT aval = ra.x[pa];
-        for (Index pb = rb.vec_begin(*kb); pb < rb.vec_end(*kb); ++pb) {
-          Index j = rb.i[pb];
-          ZT prod = static_cast<ZT>(sr.mul(aval, rb.x[pb]));
-          if (!present[j]) {
-            present[j] = 1;
-            acc[j] = prod;
-            touched.push_back(j);
-          } else if constexpr (!always_terminal<typename SR::add_type>) {
-            if (!sr.add.is_terminal(acc[j])) acc[j] = sr.add(acc[j], prod);
-          }
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      probe.begin_row(ra.vec_id(ka));
-      const std::size_t row_start = t.i.size();
-      for (Index j : touched) {
-        if (probe.test(j)) {
-          t.i.push_back(j);
-          t.x.push_back(acc[j]);
-        }
-        present[j] = 0;
-      }
-      if (t.i.size() > row_start) {
+      if (row(std::true_type{}, ka, *present_h, *touched_h, &*acc_h,
+              [&](Index j, const ZT& v) {
+                t.i.push_back(j);
+                t.x.push_back(v);
+              }) > 0) {
         t.h.push_back(ra.vec_id(ka));
         t.p.push_back(static_cast<Index>(t.i.size()));
       }
@@ -245,32 +308,11 @@ SparseStore<typename SR::value_type> mxm_gustavson(
             platform::Workspace::checkout<ws_mxm_present, std::uint8_t>(n);
         auto touched_h =
             platform::Workspace::checkout<ws_mxm_touched, Index>();
-        auto& present = *present_h;
-        auto& touched = *touched_h;
-        MatrixMaskProbe<MaskArg> probe(mask, desc);
         for (std::size_t ka = klo; ka < khi; ++ka) {
           platform::governor_poll();
-          touched.clear();
-          for (Index pa = ra.vec_begin(static_cast<Index>(ka));
-               pa < ra.vec_end(static_cast<Index>(ka)); ++pa) {
-            auto kb = rb.find_vec(ra.i[pa]);
-            if (!kb) continue;
-            for (Index pb = rb.vec_begin(*kb); pb < rb.vec_end(*kb); ++pb) {
-              Index j = rb.i[pb];
-              if (!present[j]) {
-                present[j] = 1;
-                touched.push_back(j);
-              }
-            }
-          }
-          std::sort(touched.begin(), touched.end());
-          probe.begin_row(ra.vec_id(static_cast<Index>(ka)));
-          Index cnt = 0;
-          for (Index j : touched) {
-            if (probe.test(j)) ++cnt;
-            present[j] = 0;
-          }
-          counts[ka] = cnt;
+          counts[ka] = row(std::false_type{}, static_cast<Index>(ka),
+                           *present_h, *touched_h, nullptr,
+                           [](Index, const ZT&) {});
         }
       });
 
@@ -287,41 +329,15 @@ SparseStore<typename SR::value_type> mxm_gustavson(
             platform::Workspace::checkout<ws_mxm_present, std::uint8_t>(n);
         auto touched_h =
             platform::Workspace::checkout<ws_mxm_touched, Index>();
-        auto& acc = *acc_h;
-        auto& present = *present_h;
-        auto& touched = *touched_h;
-        MatrixMaskProbe<MaskArg> probe(mask, desc);
         for (std::size_t ka = klo; ka < khi; ++ka) {
           platform::governor_poll();
-          touched.clear();
-          for (Index pa = ra.vec_begin(static_cast<Index>(ka));
-               pa < ra.vec_end(static_cast<Index>(ka)); ++pa) {
-            auto kb = rb.find_vec(ra.i[pa]);
-            if (!kb) continue;
-            const AT aval = ra.x[pa];
-            for (Index pb = rb.vec_begin(*kb); pb < rb.vec_end(*kb); ++pb) {
-              Index j = rb.i[pb];
-              ZT prod = static_cast<ZT>(sr.mul(aval, rb.x[pb]));
-              if (!present[j]) {
-                present[j] = 1;
-                acc[j] = prod;
-                touched.push_back(j);
-              } else if constexpr (!always_terminal<typename SR::add_type>) {
-                if (!sr.add.is_terminal(acc[j])) acc[j] = sr.add(acc[j], prod);
-              }
-            }
-          }
-          std::sort(touched.begin(), touched.end());
-          probe.begin_row(ra.vec_id(static_cast<Index>(ka)));
           Index pos = counts[ka];
-          for (Index j : touched) {
-            if (probe.test(j)) {
-              t.i[pos] = j;
-              t.x[pos] = acc[j];
-              ++pos;
-            }
-            present[j] = 0;
-          }
+          row(std::true_type{}, static_cast<Index>(ka), *present_h,
+              *touched_h, &*acc_h, [&](Index j, const ZT& v) {
+                t.i[pos] = j;
+                t.x[pos] = v;
+                ++pos;
+              });
         }
       });
 
@@ -371,22 +387,21 @@ bool dot_pair(const SparseStore<AT>& ra, Index ka, const SparseStore<BT>& cb,
 /// chunks of rows (masked: the mask's rows, weighted by their nnz; sweep:
 /// A's rows, weighted by their nnz), with per-chunk stores concatenated in
 /// chunk order.
-template <class SR, class AT, class BT, class MaskArg>
+template <class SR, class AT, class BT, class MaskRows>
 SparseStore<typename SR::value_type> mxm_dot(const SparseStore<AT>& ra,
                                              const SparseStore<BT>& cb,
-                                             const SR& sr, const MaskArg& mask,
+                                             const SR& sr, const MaskRows& mask,
                                              const Descriptor& desc) {
   using ZT = typename SR::value_type;
   SparseStore<ZT> t(ra.vdim);
   t.hyper = true;
   t.p.assign(1, 0);
 
-  if constexpr (is_masked<MaskArg>) {
+  if constexpr (is_masked<MaskRows>) {
     if (!desc.mask_complement) {
       // Visit exactly the mask's allowed entries.
-      const auto& ms = mask.by_row();
-      using MV = std::decay_t<decltype(ms.x[0])>;
-      const Index nm = ms.nvec();
+      using MV = std::decay_t<decltype(mask.x[0])>;
+      const Index nm = mask.nvec();
       if (nm == 0) return t;
       auto run_range = [&](Index klo, Index khi, SparseStore<ZT>& out) {
         auto row_h =
@@ -394,24 +409,24 @@ SparseStore<typename SR::value_type> mxm_dot(const SparseStore<AT>& ra,
         auto& row = *row_h;
         for (Index km = klo; km < khi; ++km) {
           platform::governor_poll();
-          Index r = ms.vec_id(km);
+          Index r = mask.vec_id(km);
           auto ka = ra.find_vec(r);
           if (!ka) continue;
           row.clear();
-          for (Index pm = ms.vec_begin(km); pm < ms.vec_end(km); ++pm) {
-            if (!desc.mask_structural && ms.x[pm] == MV{}) continue;
-            auto kb = cb.find_vec(ms.i[pm]);
+          for (Index pm = mask.vec_begin(km); pm < mask.vec_end(km); ++pm) {
+            if (!desc.mask_structural && mask.x[pm] == MV{}) continue;
+            auto kb = cb.find_vec(mask.i[pm]);
             if (!kb) continue;
             ZT val;
             if (dot_pair(ra, *ka, cb, *kb, sr, val))
-              row.emplace_back(ms.i[pm], val);
+              row.emplace_back(mask.i[pm], val);
           }
           finish_row(out, r, row);
         }
       };
       // The mask's own pointer array is the cost prefix: work per mask row
       // is proportional to its entry count.
-      const std::span<const Index> costs(ms.p.data(),
+      const std::span<const Index> costs(mask.p.data(),
                                          static_cast<std::size_t>(nm) + 1);
       const std::size_t nchunks =
           platform::chunk_count(static_cast<std::size_t>(nm), costs[nm]);
@@ -442,7 +457,7 @@ SparseStore<typename SR::value_type> mxm_dot(const SparseStore<AT>& ra,
     auto row_h =
         platform::Workspace::checkout<ws_dot_row, std::pair<Index, ZT>>();
     auto& row = *row_h;
-    MatrixMaskProbe<MaskArg> probe(mask, desc);
+    MatrixMaskProbe<MaskRows> probe(mask, desc);
     for (Index ka = klo; ka < khi; ++ka) {
       platform::governor_poll();
       Index r = ra.vec_id(ka);
@@ -487,11 +502,10 @@ SparseStore<typename SR::value_type> mxm_dot(const SparseStore<AT>& ra,
 /// A's row pattern. Produces each row already sorted; memory O(row nnz of
 /// A). Rows are independent, so the kernel runs over flop-balanced chunks
 /// with a pooled per-thread heap; per-chunk stores concatenate in order.
-template <class SR, class AT, class BT, class MaskArg>
-SparseStore<typename SR::value_type> mxm_heap(const SparseStore<AT>& ra,
-                                              const SparseStore<BT>& rb,
-                                              const SR& sr, const MaskArg& mask,
-                                              const Descriptor& desc) {
+template <class SR, class AT, class BT, class MaskRows>
+SparseStore<typename SR::value_type> mxm_heap(
+    const SparseStore<AT>& ra, const SparseStore<BT>& rb, const SR& sr,
+    const MaskRows& mask, const Descriptor& desc) {
   using ZT = typename SR::value_type;
   SparseStore<ZT> t(ra.vdim);
   t.hyper = true;
@@ -524,7 +538,7 @@ SparseStore<typename SR::value_type> mxm_heap(const SparseStore<AT>& ra,
     // per row.
     auto heap_h = platform::Workspace::checkout<ws_heap_nodes, Node>();
     auto& heap = *heap_h;
-    MatrixMaskProbe<MaskArg> probe(mask, desc);
+    MatrixMaskProbe<MaskRows> probe(mask, desc);
     auto heap_push = [&](Node nd) {
       heap.push_back(nd);
       std::push_heap(heap.begin(), heap.end(), cmp);
@@ -613,6 +627,10 @@ MxmMethod mxm(Matrix<CT>& c, const MaskArg& mask, const Accum& accum,
   const Index kb = input_nrows(b, desc.transpose_b);
   const Index n = input_ncols(b, desc.transpose_b);
   check_dims(c.nrows() == m && c.ncols() == n && ka == kb, "mxm: shapes");
+  if constexpr (is_masked<MaskArg>) {
+    // The kernels index n-wide scratch by the mask's column ids.
+    check_dims(mask.nrows() == m && mask.ncols() == n, "mxm: mask shape");
+  }
 
   MxmMethod method = desc.mxm;
   if (method == MxmMethod::auto_select && platform::low_memory_hint()) {
@@ -693,21 +711,24 @@ MxmMethod mxm(Matrix<CT>& c, const MaskArg& mask, const Accum& accum,
     }
   }
 
+  // The mask's row view, resolved here on the calling thread: every kernel
+  // reads this one store, so no parallel chunk can trigger its lazy build.
+  const auto& mrows = mask_rows(mask);
   using ZT = typename SR::value_type;
   SparseStore<ZT> t(m);
   switch (method) {
     case MxmMethod::gustavson:
       t = detail::mxm_gustavson(input_rows(a, desc.transpose_a),
-                                input_rows(b, desc.transpose_b), n, sr, mask,
+                                input_rows(b, desc.transpose_b), n, sr, mrows,
                                 desc, dense_native);
       break;
     case MxmMethod::dot:
       t = detail::mxm_dot(input_rows(a, desc.transpose_a),
-                          input_rows(b, !desc.transpose_b), sr, mask, desc);
+                          input_rows(b, !desc.transpose_b), sr, mrows, desc);
       break;
     case MxmMethod::heap:
       t = detail::mxm_heap(input_rows(a, desc.transpose_a),
-                           input_rows(b, desc.transpose_b), sr, mask, desc);
+                           input_rows(b, desc.transpose_b), sr, mrows, desc);
       break;
     case MxmMethod::auto_select:
       throw Error(Info::panic, "mxm: unresolved auto method");

@@ -58,8 +58,11 @@ template <class M, class Vals>
     }
     return acc;
   }
+  // storage_t: a Buf<bool> would pack the chunks' partials into shared
+  // words, and concurrent bit writes race.
   auto partials_h =
-      platform::Workspace::checkout<ws_reduce_partials, ZT>(nchunks);
+      platform::Workspace::checkout<ws_reduce_partials, storage_t<ZT>>(
+          nchunks);
   auto& partials = *partials_h;
   platform::parallel_for_chunks(
       nnz, nchunks, [&](std::size_t c, std::size_t lo, std::size_t hi) {
@@ -72,7 +75,7 @@ template <class M, class Vals>
       });
   ZT acc = monoid.identity;
   for (std::size_t c = 0; c < nchunks; ++c) {
-    acc = monoid(acc, partials[c]);
+    acc = monoid(acc, static_cast<ZT>(partials[c]));
     if (monoid.is_terminal(acc)) break;
   }
   return acc;

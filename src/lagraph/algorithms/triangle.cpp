@@ -9,13 +9,19 @@ namespace lagraph {
 
 namespace {
 
-/// Pattern-only copy of the undirected adjacency, values = 1 (int64),
-/// diagonal dropped.
+/// Pattern-only copy of the undirected adjacency, values = 1 (int64). The
+/// diagonal is kept: the L/U methods drop it with tril(-1)/triu(1).
 gb::Matrix<std::int64_t> pattern_of(const Graph& g) {
   const auto& a = g.undirected_view();
   gb::Matrix<std::int64_t> p(a.nrows(), a.ncols());
   gb::apply(p, gb::no_mask, gb::no_accum, gb::One{}, a);
-  gb::Matrix<std::int64_t> nodiag(a.nrows(), a.ncols());
+  return p;
+}
+
+/// p without its diagonal, for the methods that multiply or mask with the
+/// whole pattern.
+gb::Matrix<std::int64_t> offdiag(const gb::Matrix<std::int64_t>& p) {
+  gb::Matrix<std::int64_t> nodiag(p.nrows(), p.ncols());
   gb::select(nodiag, gb::no_mask, gb::no_accum, gb::SelOffdiag{}, p,
              std::int64_t{0});
   return nodiag;
@@ -34,12 +40,15 @@ std::uint64_t triangle_count(const Graph& g, TriangleMethod method) {
   switch (method) {
     case TriangleMethod::burkhardt: {
       // ntri = sum((A*A) .* A) / 6
+      a = offdiag(a);
       gb::mxm(c, a, gb::no_accum, gb::plus_pair<std::int64_t>(), a, a, masked);
       total = gb::reduce_scalar(gb::plus_monoid<std::int64_t>(), c) / 6;
       break;
     }
     case TriangleMethod::cohen: {
-      // ntri = sum((L*U) .* A) / 2
+      // ntri = sum((L*U) .* A) / 2 — A is the mask, and L*U has a nonzero
+      // diagonal, so the mask must not keep A's self-loops.
+      a = offdiag(a);
       auto l = gb::tril(a, -1);
       auto u = gb::triu(a, 1);
       gb::mxm(c, a, gb::no_accum, gb::plus_pair<std::int64_t>(), l, u, masked);

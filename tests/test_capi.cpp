@@ -119,6 +119,37 @@ TEST(CApi, MxmMatchesCppLayer) {
   GrB_Matrix_free(&c);
 }
 
+TEST(CApi, MxmMaskOfWrongShapeIsDimensionMismatch) {
+  GrB_Matrix a = nullptr, c = nullptr, wide = nullptr, tall = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, 4, 4), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_new(&c, 4, 4), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_new(&wide, 4, 64), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_new(&tall, 64, 4), GrB_SUCCESS);
+  for (GrB_Index k = 0; k < 4; ++k) {
+    ASSERT_EQ(GrB_Matrix_setElement_FP64(a, 1.0, k, (k + 1) % 4), GrB_SUCCESS);
+    ASSERT_EQ(GrB_Matrix_setElement_FP64(wide, 1.0, k, 60 + k), GrB_SUCCESS);
+    ASSERT_EQ(GrB_Matrix_setElement_FP64(tall, 1.0, 60 + k, k), GrB_SUCCESS);
+  }
+  GrB_Descriptor comp = nullptr;
+  ASSERT_EQ(GrB_Descriptor_new(&comp), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Descriptor_set(comp, GrB_MASK, GrB_COMP), GrB_SUCCESS);
+  for (GrB_Matrix mask : {wide, tall}) {
+    for (GrB_Descriptor d : {static_cast<GrB_Descriptor>(nullptr), comp}) {
+      EXPECT_EQ(GrB_mxm(c, mask, GrB_NULL_ACCUM, GrB_PLUS_TIMES_SEMIRING_FP64,
+                        a, a, d),
+                GrB_DIMENSION_MISMATCH);
+    }
+  }
+  GrB_Index nvals = 99;
+  ASSERT_EQ(GrB_Matrix_nvals(&nvals, c), GrB_SUCCESS);
+  EXPECT_EQ(nvals, 0u);
+  GrB_Descriptor_free(&comp);
+  GrB_Matrix_free(&a);
+  GrB_Matrix_free(&c);
+  GrB_Matrix_free(&wide);
+  GrB_Matrix_free(&tall);
+}
+
 TEST(CApi, DescriptorSettings) {
   GrB_Descriptor d = nullptr;
   ASSERT_EQ(GrB_Descriptor_new(&d), GrB_SUCCESS);

@@ -116,6 +116,34 @@ TEST(Mxm, PlusPairCountsIntersections) {
   EXPECT_EQ(c.extract_element(0, 0).value(), 2);
 }
 
+TEST(Mxm, BooleanSemiringMaskedMatchesMimic) {
+  // lor_land over bool (Fig. 2's LogicalSemiring). Buf<bool> is bit-packed,
+  // so this is the one element type whose scratch and output slots are
+  // proxies; every method must still compile and match the mimic.
+  auto to_bool = [](const gb::Matrix<double>& x) {
+    gb::Matrix<bool> out(x.nrows(), x.ncols());
+    gb::apply(out, gb::no_mask, gb::no_accum, [](double v) { return v > 0; },
+              x);
+    return out;
+  };
+  auto a = to_bool(random_matrix(16, 16, 0.25, 71));
+  auto m = random_matrix(16, 16, 0.4, 72);
+  auto da = ref::from_gb(a);
+  auto dm = ref::from_gb(m);
+  for (auto d : mask_descriptor_sweep()) {
+    ref::DenseMat<bool> expect(16, 16);
+    ref::mxm(expect, &dm, static_cast<const gb::Lor*>(nullptr),
+             gb::lor_land(), da, da, d);
+    for (auto method : kMethods) {
+      d.mxm = method;
+      gb::Matrix<bool> c(16, 16);
+      gb::mxm(c, m, gb::no_accum, gb::lor_land(), a, a, d);
+      EXPECT_TRUE(ref::equal(expect, c))
+          << desc_name(d) << " method=" << static_cast<int>(method);
+    }
+  }
+}
+
 TEST(Mxm, MaskedDotVisitsOnlyMaskEntries) {
   auto a = random_matrix(30, 30, 0.3, 55);
   auto b = random_matrix(30, 30, 0.3, 56);
@@ -178,6 +206,32 @@ TEST(Mxm, RectangularShapes) {
   EXPECT_THROW(gb::mxm(bad, gb::no_mask, gb::no_accum,
                        gb::plus_times<double>(), a, b),
                gb::Error);
+}
+
+TEST(Mxm, MaskOfWrongShapeIsDimensionMismatch) {
+  // The masked kernels index n-wide scratch by the mask's column ids, so a
+  // mask that does not match C is refused before any kernel runs — for
+  // every method and mask kind, and wider masks included.
+  auto a = random_matrix(8, 8, 0.5, 80);
+  const std::pair<Index, Index> shapes[] = {{8, 12}, {12, 8}, {4, 8}, {8, 4}};
+  for (auto [mr, mc] : shapes) {
+    auto mask = random_matrix(mr, mc, 0.6, 81);
+    for (bool comp : {false, true}) {
+      for (auto method : kMethods) {
+        gb::Descriptor d;
+        d.mask_complement = comp;
+        d.mxm = method;
+        gb::Matrix<double> c(8, 8);
+        try {
+          gb::mxm(c, mask, gb::no_accum, gb::plus_times<double>(), a, a, d);
+          ADD_FAILURE() << "accepted a " << mr << "x" << mc << " mask";
+        } catch (const gb::Error& e) {
+          EXPECT_EQ(e.info(), gb::Info::dimension_mismatch) << e.what();
+        }
+        EXPECT_EQ(c.nvals(), 0u);
+      }
+    }
+  }
 }
 
 TEST(Mxm, KroneckerMatchesMimic) {

@@ -4,7 +4,9 @@
 // pass — per-chunk buffers concatenated in order, no shared accumulators.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -17,6 +19,7 @@
 #include "lagraph/lagraph.hpp"
 #include "lagraph/util/check.hpp"
 #include "lagraph/util/generator.hpp"
+#include "reference/dense_ref.hpp"
 
 using gb::Index;
 
@@ -138,12 +141,12 @@ TEST(Parallel, ChunkHelperCoversRangeExactlyOnce) {
   // Degenerate shapes.
   gb::platform::parallel_for_chunks(0, 4, [&](std::size_t, std::size_t,
                                               std::size_t) { FAIL(); });
-  int calls = 0;
+  std::atomic<int> calls = 0;  // three one-item chunks may run at once
   gb::platform::parallel_for_chunks(
       3, 10, [&](std::size_t, std::size_t lo, std::size_t hi) {
         calls += static_cast<int>(hi - lo);
       });
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls.load(), 3);
 }
 
 TEST(Parallel, ExclusiveScanComputesPointerArray) {
@@ -302,21 +305,160 @@ TEST(Determinism, HeapMxm) {
       });
 }
 
+namespace {
+
+/// Same pattern and the same value bits, entry for entry.
+bool bitwise_equal(const gb::Matrix<double>& x, const gb::Matrix<double>& y) {
+  std::vector<Index> xr, xc, yr, yc;
+  std::vector<double> xv, yv;
+  x.extract_tuples(xr, xc, xv);
+  y.extract_tuples(yr, yc, yv);
+  return x.nrows() == y.nrows() && x.ncols() == y.ncols() && xr == yr &&
+         xc == yc && xv.size() == yv.size() &&
+         std::memcmp(xv.data(), yv.data(), xv.size() * sizeof(double)) == 0;
+}
+
+/// `a`'s pattern with non-integer values, so that sums of products round
+/// and a different combination order would show in the low bits.
+gb::Matrix<double> rounding_values(const gb::Matrix<double>& a) {
+  gb::Matrix<double> out(a.nrows(), a.ncols());
+  gb::apply_indexop(
+      out, gb::no_mask, gb::no_accum,
+      [](double, Index i, Index j, std::int64_t) {
+        return 0.1 + static_cast<double>((i * 7 + j * 13) % 29) / 3.0;
+      },
+      a, std::int64_t{0});
+  return out;
+}
+
+/// A 2^scale-square mask in the requested storage form, in a fresh object
+/// (its sparse row view never read). Valued, with explicit zeros. The
+/// sparse and bitmap masks take their pattern from an R-MAT graph and leave
+/// every fifth row empty; the full mask stores every position.
+gb::Matrix<double> masked_sweep_mask(int scale, gb::Format form) {
+  const Index n = Index{1} << scale;
+  std::vector<Index> rows, cols;
+  std::vector<double> vals;
+  if (form == gb::Format::full) {
+    for (Index i = 0; i < n; ++i) {
+      for (Index j = 0; j < n; ++j) {
+        rows.push_back(i);
+        cols.push_back(j);
+      }
+    }
+  } else {
+    std::vector<double> ignored;
+    lagraph::rmat(scale, 6, 77).extract_tuples(rows, cols, ignored);
+    std::vector<Index> keep_r, keep_c;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      if (rows[k] % 5 == 0) continue;
+      keep_r.push_back(rows[k]);
+      keep_c.push_back(cols[k]);
+    }
+    rows = std::move(keep_r);
+    cols = std::move(keep_c);
+  }
+  for (std::size_t k = 0; k < rows.size(); ++k)
+    vals.push_back((rows[k] + 2 * cols[k]) % 3 == 0 ? 0.0 : 1.0);
+  gb::Matrix<double> m(n, n);
+  m.build(rows, cols, vals, gb::Plus{});
+  m.set_format(form == gb::Format::sparse   ? gb::FormatMode::sparse
+               : form == gb::Format::bitmap ? gb::FormatMode::bitmap
+                                            : gb::FormatMode::full);
+  return m;
+}
+
+}  // namespace
+
 TEST(Determinism, MxmMethodsAgreeBitwise) {
   // The three families must agree bitwise on floats — the heap's ord
-  // tie-break and the dot's walk reproduce Gustavson's k-ascending
-  // combination order.
-  auto a = lagraph::rmat(8, 8, 14);
-  gb::Matrix<double> ref(a.nrows(), a.ncols());
-  gb::Descriptor d;
-  d.mxm = gb::MxmMethod::gustavson;
-  gb::mxm(ref, gb::no_mask, gb::no_accum, gb::plus_times<double>(), a, a, d);
-  gb::platform::ForcedChunks force(3);
-  for (auto m : {gb::MxmMethod::dot, gb::MxmMethod::heap}) {
-    d.mxm = m;
-    gb::Matrix<double> c(a.nrows(), a.ncols());
-    gb::mxm(c, gb::no_mask, gb::no_accum, gb::plus_times<double>(), a, a, d);
-    EXPECT_TRUE(lagraph::isequal(ref, c));
+  // tie-break, the dot's walk and the mask-first saxpy all reproduce
+  // Gustavson's k-ascending combination order.
+  {
+    auto a = lagraph::rmat(8, 8, 14);
+    gb::Matrix<double> ref(a.nrows(), a.ncols());
+    gb::Descriptor d;
+    d.mxm = gb::MxmMethod::gustavson;
+    gb::mxm(ref, gb::no_mask, gb::no_accum, gb::plus_times<double>(), a, a, d);
+    gb::platform::ForcedChunks force(3);
+    for (auto m : {gb::MxmMethod::dot, gb::MxmMethod::heap}) {
+      d.mxm = m;
+      gb::Matrix<double> c(a.nrows(), a.ncols());
+      gb::mxm(c, gb::no_mask, gb::no_accum, gb::plus_times<double>(), a, a, d);
+      EXPECT_TRUE(lagraph::isequal(ref, c));
+    }
+  }
+
+  // Masked: valued / structural / complemented masks in every storage form,
+  // at 1, 2 and 4 threads (one chunk, then the two-pass chunked kernels).
+  // Every method must match the dense mimic bit for bit.
+  constexpr int kScale = 7;
+  auto a = rounding_values(lagraph::rmat(kScale, 8, 15));
+  const Index n = a.nrows();
+  const auto da = ref::from_gb(a);
+  for (auto form : {gb::Format::sparse, gb::Format::bitmap, gb::Format::full}) {
+    const auto dm = ref::from_gb(masked_sweep_mask(kScale, form));
+    for (gb::Descriptor d :
+         {gb::desc_default, gb::desc_s, gb::desc_c, gb::desc_sc}) {
+      ref::DenseMat<double> expect(n, n);
+      ref::mxm(expect, &dm, static_cast<const gb::Plus*>(nullptr),
+               gb::plus_times<double>(), da, da, d);
+      const auto want = ref::to_gb(expect);
+      for (int threads : {1, 2, 4}) {
+        ThreadGuard guard(threads);
+        gb::platform::ForcedChunks force(threads);
+        for (auto method : {gb::MxmMethod::gustavson, gb::MxmMethod::dot,
+                            gb::MxmMethod::heap}) {
+          const auto mask = masked_sweep_mask(kScale, form);
+          EXPECT_EQ(mask.format(), form);
+          d.mxm = method;
+          gb::Matrix<double> c(n, n);
+          gb::mxm(c, mask, gb::no_accum, gb::plus_times<double>(), a, a, d);
+          EXPECT_TRUE(bitwise_equal(want, c))
+              << "form=" << gb::to_string(form)
+              << " complement=" << d.mask_complement
+              << " structural=" << d.mask_structural
+              << " method=" << static_cast<int>(method)
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(Parallel, MaskedMxmResolvesMaskViewBeforeForking) {
+  // A bitmap mask's sparse row view is built lazily on first read. mxm must
+  // build it once, on the calling thread, before its chunks fork: chunks
+  // that each asked for it would build it concurrently (a data race under
+  // TSan, a corrupted view without it).
+  // Big enough that the four chunks overlap in time, so TSan sees them race.
+  constexpr int kScale = 10;
+  auto a = rounding_values(lagraph::rmat(kScale, 16, 16));
+  const Index n = a.nrows();
+  struct Case {
+    gb::MxmMethod method;
+    gb::Descriptor desc;
+  };
+  for (Case cs : {Case{gb::MxmMethod::gustavson, gb::desc_s},
+                  Case{gb::MxmMethod::gustavson, gb::desc_sc},
+                  Case{gb::MxmMethod::dot, gb::desc_sc},
+                  Case{gb::MxmMethod::heap, gb::desc_s}}) {
+    cs.desc.mxm = cs.method;
+    gb::Matrix<double> serial(n, n);
+    {
+      ThreadGuard guard(1);
+      gb::mxm(serial, masked_sweep_mask(kScale, gb::Format::bitmap),
+              gb::no_accum, gb::plus_times<double>(), a, a, cs.desc);
+    }
+    ThreadGuard guard(4);
+    gb::platform::ForcedChunks force(4);
+    const auto mask = masked_sweep_mask(kScale, gb::Format::bitmap);
+    ASSERT_EQ(mask.format(), gb::Format::bitmap);
+    gb::Matrix<double> par(n, n);
+    gb::mxm(par, mask, gb::no_accum, gb::plus_times<double>(), a, a, cs.desc);
+    EXPECT_TRUE(bitwise_equal(serial, par))
+        << "method=" << static_cast<int>(cs.method)
+        << " complement=" << cs.desc.mask_complement;
   }
 }
 

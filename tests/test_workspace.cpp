@@ -14,6 +14,7 @@
 
 #include "graphblas/graphblas.hpp"
 #include "platform/alloc.hpp"
+#include "platform/parallel.hpp"
 #include "platform/workspace.hpp"
 
 namespace {
@@ -233,8 +234,13 @@ TEST(Workspace, CrossThreadIsolation) {
   const int nthreads = omp_get_max_threads() >= 2 ? omp_get_max_threads() : 2;
   std::vector<const void*> ptrs(static_cast<std::size_t>(nthreads), nullptr);
   std::vector<std::uint64_t> checkouts(static_cast<std::size_t>(nthreads), 0);
+  // Fork/join happens-before edges TSan cannot see through libgomp (the
+  // same annotation platform/parallel.hpp puts on the library's regions).
+  char fork_token = 0;
+  GB_TSAN_RELEASE(&fork_token);
 #pragma omp parallel num_threads(nthreads)
   {
+    GB_TSAN_ACQUIRE(&fork_token);
     const int tid = omp_get_thread_num();
     Workspace::clear_thread();
     const auto base = Workspace::thread_stats();
@@ -250,7 +256,9 @@ TEST(Workspace, CrossThreadIsolation) {
     checkouts[static_cast<std::size_t>(tid)] =
         Workspace::thread_stats().checkouts - base.checkouts;
     Workspace::clear_thread();
+    GB_TSAN_RELEASE(&fork_token);
   }
+  GB_TSAN_ACQUIRE(&fork_token);
   for (int i = 0; i < nthreads; ++i) {
     EXPECT_EQ(checkouts[static_cast<std::size_t>(i)], 1u) << "thread " << i;
     for (int j = i + 1; j < nthreads; ++j) {
