@@ -76,6 +76,41 @@ GrB_Info guarded(F&& f) {
   }
 }
 
+/// The one driven-call path behind every LAGraph_Runner_* entry point.
+/// `algo(g, capsule)` runs the resumable driver on a Graph built from a copy
+/// of `a` (the caller keeps its matrix); `take(result)` moves the answer into
+/// the output handle. A governor stop the Runner gave up on still writes the
+/// partial result and reports the trip as its GrB_Info.
+template <class Algo, class Take>
+GrB_Info run_driven(GrB_Vector out, LAGraph_Runner r, GrB_Matrix a,
+                    Algo&& algo, Take&& take) {
+  if (out == nullptr || r == nullptr || a == nullptr) return GrB_NULL_POINTER;
+  return guarded([&] {
+    // A driven call is a fresh run: a cancel left over from a previous run
+    // must not trip it at the first poll.
+    r->runner.governor().clear_cancel();
+    lagraph::Graph g(a->m.dup(), lagraph::Kind::directed);
+    auto res = r->runner.run(
+        [&](const lagraph::Checkpoint* cp) { return algo(g, cp); });
+    take(res);
+    return trip_code(res.stop);
+  });
+}
+
+/// The C vectors are FP64-backed. Hop counts, vertex ids and colors are
+/// integers, exact in a double for any graph whose dimension a GrB_Index
+/// addresses.
+template <class T>
+gb::Vector<double> to_fp64(const gb::Vector<T>& v) {
+  std::vector<gb::Index> idx;
+  std::vector<T> vals;
+  v.extract_tuples(idx, vals);
+  std::vector<double> d(vals.begin(), vals.end());
+  gb::Vector<double> out(v.size());
+  out.build(idx, d, gb::Second{});
+  return out;
+}
+
 }  // namespace
 
 extern "C" {
@@ -156,279 +191,143 @@ GrB_Info LAGraph_Runner_stats(LAGraph_Runner r, int32_t* slices,
 GrB_Info LAGraph_Runner_pagerank(GrB_Vector rank, LAGraph_Runner r,
                                  GrB_Matrix a, double damping, double tol,
                                  int max_iters, int32_t* iterations) {
-  if (rank == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
-  return guarded([&] {
-    // A driven call is a fresh run: a cancel left over from a previous run
-    // must not trip it at the first poll.
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::pagerank(g, damping, tol, max_iters, cp);
-    });
-    rank->v = std::move(res.rank);
-    if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      rank, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::pagerank(g, damping, tol, max_iters, cp);
+      },
+      [&](lagraph::PageRankResult& res) {
+        rank->v = std::move(res.rank);
+        if (iterations != nullptr) *iterations = res.iterations;
+      });
 }
 
 GrB_Info LAGraph_Runner_bfs_level(GrB_Vector level, LAGraph_Runner r,
                                   GrB_Matrix a, GrB_Index source) {
-  if (level == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
-  return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::bfs(g, static_cast<gb::Index>(source),
-                          lagraph::BfsVariant::direction_optimizing, cp);
-    });
-    // The C vector is FP64-backed; hop counts are small integers, exact in
-    // a double.
-    std::vector<gb::Index> idx;
-    std::vector<std::int64_t> hops;
-    res.level.extract_tuples(idx, hops);
-    std::vector<double> vals(hops.begin(), hops.end());
-    gb::Vector<double> out(res.level.size());
-    out.build(idx, vals, gb::Second{});
-    level->v = std::move(out);
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      level, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::bfs(g, static_cast<gb::Index>(source),
+                            lagraph::BfsVariant::direction_optimizing, cp);
+      },
+      [&](lagraph::BfsResult& res) { level->v = to_fp64(res.level); });
 }
 
 GrB_Info LAGraph_Runner_sssp_bellman_ford(GrB_Vector dist, LAGraph_Runner r,
                                           GrB_Matrix a, GrB_Index source,
                                           int32_t* iterations) {
-  if (dist == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
-  return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::sssp_bellman_ford(g, static_cast<gb::Index>(source),
-                                        cp);
-    });
-    // SSSP distances are FP64 already: the result vector moves straight in.
-    dist->v = std::move(res.dist);
-    if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      dist, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::sssp_bellman_ford(g, static_cast<gb::Index>(source),
+                                          cp);
+      },
+      [&](lagraph::SsspResult& res) {
+        dist->v = std::move(res.dist);
+        if (iterations != nullptr) *iterations = res.iterations;
+      });
 }
 
 GrB_Info LAGraph_Runner_cc(GrB_Vector labels, LAGraph_Runner r, GrB_Matrix a,
                            int32_t* rounds) {
-  if (labels == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
-  return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::connected_components_run(g, cp);
-    });
-    // The C vector is FP64-backed; labels are vertex ids, exact in a double
-    // for any graph whose dimension a GrB_Index addresses.
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> lab;
-    res.labels.extract_tuples(idx, lab);
-    std::vector<double> vals(lab.begin(), lab.end());
-    gb::Vector<double> out(res.labels.size());
-    out.build(idx, vals, gb::Second{});
-    labels->v = std::move(out);
-    if (rounds != nullptr) *rounds = res.rounds;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      labels, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::connected_components_run(g, cp);
+      },
+      [&](lagraph::CcResult& res) {
+        labels->v = to_fp64(res.labels);
+        if (rounds != nullptr) *rounds = res.rounds;
+      });
 }
 
 GrB_Info LAGraph_Runner_mcl(GrB_Vector labels, LAGraph_Runner r, GrB_Matrix a,
                             double inflation, int max_iters, double prune,
                             int32_t* iterations) {
-  if (labels == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
-  return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::mcl(g, inflation, max_iters, prune, cp);
-    });
-    // The C vector is FP64-backed; attractor ids are vertex ids, exact in a
-    // double for any graph whose dimension a GrB_Index addresses.
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> lab;
-    res.labels.extract_tuples(idx, lab);
-    std::vector<double> vals(lab.begin(), lab.end());
-    gb::Vector<double> out(res.labels.size());
-    out.build(idx, vals, gb::Second{});
-    labels->v = std::move(out);
-    if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      labels, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::mcl(g, inflation, max_iters, prune, cp);
+      },
+      [&](lagraph::ClusterResult& res) {
+        labels->v = to_fp64(res.labels);
+        if (iterations != nullptr) *iterations = res.iterations;
+      });
 }
 
 GrB_Info LAGraph_Runner_peer_pressure(GrB_Vector labels, LAGraph_Runner r,
                                       GrB_Matrix a, int max_iters,
                                       int32_t* iterations) {
-  if (labels == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
-  return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::peer_pressure(g, max_iters, cp);
-    });
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> lab;
-    res.labels.extract_tuples(idx, lab);
-    std::vector<double> vals(lab.begin(), lab.end());
-    gb::Vector<double> out(res.labels.size());
-    out.build(idx, vals, gb::Second{});
-    labels->v = std::move(out);
-    if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      labels, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::peer_pressure(g, max_iters, cp);
+      },
+      [&](lagraph::ClusterResult& res) {
+        labels->v = to_fp64(res.labels);
+        if (iterations != nullptr) *iterations = res.iterations;
+      });
 }
 
 GrB_Info LAGraph_Runner_bc(GrB_Vector centrality, LAGraph_Runner r,
                            GrB_Matrix a, const GrB_Index* sources,
                            GrB_Index nsources) {
-  if (centrality == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
   if (sources == nullptr && nsources != 0) return GrB_NULL_POINTER;
-  return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    std::vector<gb::Index> srcs(sources, sources + nsources);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::betweenness_run(g, srcs, cp);
-    });
-    // Centrality scores are FP64 already: the result moves straight in.
-    centrality->v = std::move(res.centrality);
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      centrality, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::betweenness_run(
+            g, std::vector<gb::Index>(sources, sources + nsources), cp);
+      },
+      [&](lagraph::BcResult& res) {
+        centrality->v = std::move(res.centrality);
+      });
 }
 
 GrB_Info LAGraph_Runner_sssp_delta_stepping(GrB_Vector dist, LAGraph_Runner r,
                                             GrB_Matrix a, GrB_Index source,
                                             double delta,
                                             int32_t* iterations) {
-  if (dist == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
-  return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::sssp_delta_stepping(g, static_cast<gb::Index>(source),
-                                          delta, cp);
-    });
-    // Distances are FP64 already: the result vector moves straight in.
-    dist->v = std::move(res.dist);
-    if (iterations != nullptr) *iterations = res.iterations;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      dist, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::sssp_delta_stepping(g, static_cast<gb::Index>(source),
+                                            delta, cp);
+      },
+      [&](lagraph::SsspResult& res) {
+        dist->v = std::move(res.dist);
+        if (iterations != nullptr) *iterations = res.iterations;
+      });
 }
 
 GrB_Info LAGraph_Runner_scc(GrB_Vector labels, LAGraph_Runner r, GrB_Matrix a,
                             int32_t* pivots) {
-  if (labels == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
-  return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::strongly_connected_components_run(g, cp);
-    });
-    // The C vector is FP64-backed; labels are pivot vertex ids, exact in a
-    // double for any graph whose dimension a GrB_Index addresses.
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> lab;
-    res.labels.extract_tuples(idx, lab);
-    std::vector<double> vals(lab.begin(), lab.end());
-    gb::Vector<double> out(res.labels.size());
-    out.build(idx, vals, gb::Second{});
-    labels->v = std::move(out);
-    if (pivots != nullptr) *pivots = res.pivots;
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      labels, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::strongly_connected_components_run(g, cp);
+      },
+      [&](lagraph::SccResult& res) {
+        labels->v = to_fp64(res.labels);
+        if (pivots != nullptr) *pivots = res.pivots;
+      });
 }
 
 GrB_Info LAGraph_Runner_coloring(GrB_Vector colors, LAGraph_Runner r,
                                  GrB_Matrix a, uint64_t seed,
                                  int32_t* rounds) {
-  if (colors == nullptr || r == nullptr || a == nullptr) {
-    return GrB_NULL_POINTER;
-  }
-  return guarded([&] {
-    r->runner.governor().clear_cancel();
-    gb::Matrix<double> adj = a->m.dup();
-    lagraph::Graph g(std::move(adj), lagraph::Kind::directed);
-    auto res = r->runner.run([&](const lagraph::Checkpoint* cp) {
-      return lagraph::coloring_run(g, seed, cp);
-    });
-    // The C vector is FP64-backed; colors are small 1-based integers, exact
-    // in a double.
-    std::vector<gb::Index> idx;
-    std::vector<std::uint64_t> col;
-    res.colors.extract_tuples(idx, col);
-    std::vector<double> vals(col.begin(), col.end());
-    gb::Vector<double> out(res.colors.size());
-    out.build(idx, vals, gb::Second{});
-    colors->v = std::move(out);
-    if (rounds != nullptr) *rounds = static_cast<int32_t>(res.rounds);
-    return lagraph::is_interruption(res.stop) ? trip_code(res.stop)
-                                              : GrB_SUCCESS;
-  });
+  return run_driven(
+      colors, r, a,
+      [&](const lagraph::Graph& g, const lagraph::Checkpoint* cp) {
+        return lagraph::coloring_run(g, seed, cp);
+      },
+      [&](lagraph::ColoringResult& res) {
+        colors->v = to_fp64(res.colors);
+        if (rounds != nullptr) *rounds = static_cast<int32_t>(res.rounds);
+      });
 }
 
 /* --- concurrent serving -------------------------------------------------- */
-
-GrB_Info LAGraph_Service_new(LAGraph_Service* s, int workers,
-                             uint64_t queue_limit, double timeout_ms,
-                             uint64_t budget_bytes, uint64_t shed_bytes,
-                             double stall_ms) {
-  if (s == nullptr) return GrB_NULL_POINTER;
-  if (workers < 1) return GrB_INVALID_VALUE;
-  *s = nullptr;
-  return guarded([&] {
-    lagraph::GraphService::Options opts;
-    opts.service.workers = workers;
-    opts.service.queue_limit = static_cast<std::size_t>(queue_limit);
-    opts.service.request_timeout_ms = timeout_ms > 0 ? timeout_ms : 0.0;
-    opts.service.request_budget = static_cast<std::size_t>(budget_bytes);
-    opts.service.shed_bytes = static_cast<std::size_t>(shed_bytes);
-    opts.service.watchdog_stall_ms = stall_ms > 0 ? stall_ms : 0.0;
-    // Algorithm jobs slice at the request deadline/budget cadence.
-    opts.runner.slice_ms = timeout_ms > 0 ? timeout_ms : 0.0;
-    opts.runner.slice_budget = static_cast<std::size_t>(budget_bytes);
-    *s = new LAGraph_Service_opaque(std::move(opts));
-    return GrB_SUCCESS;
-  });
-}
 
 GrB_Info LAGraph_Service_new_ex(LAGraph_Service* s, int workers,
                                 uint64_t queue_limit, double timeout_ms,
@@ -454,6 +353,16 @@ GrB_Info LAGraph_Service_new_ex(LAGraph_Service* s, int workers,
     *s = new LAGraph_Service_opaque(std::move(opts));
     return GrB_SUCCESS;
   });
+}
+
+GrB_Info LAGraph_Service_new(LAGraph_Service* s, int workers,
+                             uint64_t queue_limit, double timeout_ms,
+                             uint64_t budget_bytes, uint64_t shed_bytes,
+                             double stall_ms) {
+  // Batching off: the policy defaults, which LAGRAPH_BATCH_MAX /
+  // LAGRAPH_BATCH_WINDOW_US still override.
+  return LAGraph_Service_new_ex(s, workers, queue_limit, timeout_ms,
+                                budget_bytes, shed_bytes, stall_ms, 1, 0.0);
 }
 
 GrB_Info LAGraph_Service_free(LAGraph_Service* s) {

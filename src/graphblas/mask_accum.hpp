@@ -76,12 +76,15 @@ VecContent<CT> read_content(const Vector<CT>& w) {
 
 /// O(1)-testable view of a vector mask: a byte per position, 1 = writable.
 /// Building it costs O(n + nvals(mask)); ops at repro scale are fine with
-/// that, and it makes complemented masks free.
+/// that, and it makes complemented masks free. Every vector-masked operation
+/// (mxv, vxm, the fused kernels, the mask/accum write-back) builds one
+/// before touching its output, so the mask's size is checked here, once.
 template <class MaskArg>
 class VectorMaskProbe {
  public:
   VectorMaskProbe(const MaskArg& mask, Index n, const Descriptor& desc) {
     if constexpr (is_masked<MaskArg>) {
+      check_dims(mask.size() == n, "vector mask size");
       auto& allow_ = *allow_h_;
       allow_.assign(n, desc.mask_complement ? std::uint8_t{1} : std::uint8_t{0});
       const std::uint8_t on = desc.mask_complement ? 0 : 1;

@@ -14,69 +14,43 @@ ApspResult apsp_run(const Graph& g, const Checkpoint* resume) {
   const auto& a = g.adj();
   const Index n = a.nrows();
 
-  ApspResult res;
-  Scope scope;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "apsp");
-    res.checkpoint = *resume;
-  }
-
-  // D starts as A with an explicit zero diagonal, or the capsule's iterate.
-  gb::Matrix<double> d;
-  StopReason setup = scope.step([&] {
-    if (resume != nullptr && !resume->empty()) {
-      d = resume->get_matrix<double>("d");
-      gb::check_value(d.nrows() == n,
-                      "apsp: resume capsule does not match this graph");
-      res.rounds = static_cast<int>(resume->get_i64("rounds"));
-    } else {
-      d = a.dup();
-      gb::Matrix<double> zero_diag = gb::Matrix<double>::identity(n, 0.0);
-      gb::ewise_add(d, gb::no_mask, gb::no_accum, gb::Second{}, d, zero_diag);
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-
-  auto capture = [&] {
-    capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-      cp.set_algorithm("apsp");
-      cp.put_matrix("d", d);
-      cp.put_i64("rounds", res.rounds);
-    });
-  };
-
   // ceil(log2(n)) squarings reach every path length.
   int rounds = 1;
   while ((Index{1} << rounds) < n) ++rounds;
-  for (int r = res.rounds; r < rounds; ++r) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture();
-      res.d = std::move(d);
-      return res;
-    }
-    bool fixed = false;
-    StopReason why = scope.step([&] {
-      // The squaring lands in a temporary; d moves only at the commit, so a
-      // mid-step trip leaves the round boundary intact.
-      gb::Matrix<double> next = d.dup();
-      gb::mxm(next, gb::no_mask, gb::Min{}, gb::min_plus<double>(), d, d);
-      fixed = isequal(next, d);
-      if (!fixed) d = std::move(next);
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture();
-      res.d = std::move(d);
-      return res;
-    }
-    ++res.rounds;
-    if (fixed) break;
-  }
-  res.stop = StopReason::converged;
+
+  ApspResult res;
+  gb::Matrix<double> d;
+  bool fixed = false;
+  drive(
+      res, "apsp", resume,
+      [&](const Checkpoint* from) {
+        if (from != nullptr) {
+          d = from->get_matrix<double>("d");
+          gb::check_value(d.nrows() == n,
+                          "apsp: resume capsule does not match this graph");
+          res.rounds = static_cast<int>(from->get_i64("rounds"));
+        } else {
+          // D starts as A with an explicit zero diagonal.
+          d = a.dup();
+          gb::Matrix<double> zero_diag = gb::Matrix<double>::identity(n, 0.0);
+          gb::ewise_add(d, gb::no_mask, gb::no_accum, gb::Second{}, d,
+                        zero_diag);
+        }
+      },
+      [&] { return !fixed && res.rounds < rounds; },
+      [&] {
+        // The squaring lands in a temporary; d moves only at the commit, so
+        // a mid-step trip leaves the round boundary intact.
+        gb::Matrix<double> next = d.dup();
+        gb::mxm(next, gb::no_mask, gb::Min{}, gb::min_plus<double>(), d, d);
+        fixed = isequal(next, d);
+        if (!fixed) d = std::move(next);
+        ++res.rounds;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_matrix("d", d);
+        cp.put_i64("rounds", res.rounds);
+      });
   res.d = std::move(d);
   return res;
 }

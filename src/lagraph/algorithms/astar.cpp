@@ -15,22 +15,6 @@
 
 namespace lagraph {
 
-namespace {
-
-void capture_astar(AStarResult& res, const gb::Vector<double>& dist,
-                   const gb::Vector<bool>& closed,
-                   const gb::Vector<std::uint64_t>& parent) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("astar");
-    cp.put_vector("dist", dist);
-    cp.put_vector("closed", closed);
-    cp.put_vector("parent", parent);
-    cp.put_u64("expanded", res.expanded);
-  });
-}
-
-}  // namespace
-
 AStarResult astar_run(const Graph& g, Index source, Index target,
                       const gb::Vector<double>& heuristic,
                       const Checkpoint* resume) {
@@ -41,150 +25,133 @@ AStarResult astar_run(const Graph& g, Index source, Index target,
   gb::check_dims(heuristic.size() == n, "astar: heuristic size");
 
   AStarResult res;
-  Scope scope;
-
   gb::Vector<double> dist;  // tentative g-scores (the open+closed sets)
   gb::Vector<bool> closed;
   gb::Vector<std::uint64_t> parent;
-  StopReason setup = scope.step([&] {
-    if (resume != nullptr && !resume->empty()) {
-      check_resume(*resume, "astar");
-      res.checkpoint = *resume;
-      dist = resume->get_vector<double>("dist");
-      gb::check_value(dist.size() == n,
-                      "astar: resume capsule does not match this graph");
-      closed = resume->get_vector<bool>("closed");
-      parent = resume->get_vector<std::uint64_t>("parent");
-      res.expanded = static_cast<Index>(resume->get_u64("expanded"));
-    } else {
-      dist = gb::Vector<double>(n);
-      dist.set_element(source, 0.0);
-      closed = gb::Vector<bool>(n);
-      parent = gb::Vector<std::uint64_t>(n);
-      parent.set_element(source, source);
-    }
-  });
-  if (setup != StopReason::none) {
-    // Fresh run: nothing worth capturing yet. Resumed run: res.checkpoint
-    // already holds the incoming capsule, so no progress is lost.
-    res.stop = setup;
-    return res;
-  }
-
-  while (true) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture_astar(res, dist, closed, parent);
-      return res;
-    }
-    bool finished = false;
-    StopReason why = scope.step([&] {
-      // open = dist restricted to not-closed vertices.
-      gb::Vector<double> open(n);
-      gb::apply(open, closed, gb::no_accum, gb::Identity{}, dist,
-                gb::desc_rsc);
-      if (open.nvals() == 0) {  // target unreachable
-        finished = true;
-        return;
-      }
-
-      // f = g + h on the open set (h entries absent count as 0).
-      gb::Vector<double> f = open;
-      gb::ewise_mult(f, gb::no_mask, gb::Plus{}, gb::Second{}, open,
-                     heuristic);
-
-      // u = argmin f  (min-reduce, then select the minimum, then first
-      // index).
-      double fmin = gb::reduce_scalar(gb::min_monoid<double>(), f);
-      gb::Vector<double> at_min(n);
-      gb::select(at_min, gb::no_mask, gb::no_accum, gb::SelValueLe{}, f,
-                 fmin);
-      Index u = at_min.indices()[0];
-
-      if (u == target) {
-        res.distance = dist.extract_element(target).value();
-        // Path reconstruction through the parent vector (reads only).
-        std::vector<Index> rev;
-        Index cur = target;
-        while (true) {
-          rev.push_back(cur);
-          Index p = parent.extract_element(cur).value();
-          if (p == cur) break;
-          cur = p;
+  bool finished = false;
+  drive(
+      res, "astar", resume,
+      [&](const Checkpoint* from) {
+        if (from != nullptr) {
+          dist = from->get_vector<double>("dist");
+          gb::check_value(dist.size() == n,
+                          "astar: resume capsule does not match this graph");
+          closed = from->get_vector<bool>("closed");
+          parent = from->get_vector<std::uint64_t>("parent");
+          res.expanded = static_cast<Index>(from->get_u64("expanded"));
+        } else {
+          dist = gb::Vector<double>(n);
+          dist.set_element(source, 0.0);
+          closed = gb::Vector<bool>(n);
+          parent = gb::Vector<std::uint64_t>(n);
+          parent.set_element(source, source);
         }
-        res.path.assign(rev.rbegin(), rev.rend());
-        finished = true;
-        return;
-      }
-
-      // Relax u's out-edges: cand = dist(u) + A(u, :).
-      gb::Vector<double> row(n);
-      gb::extract_col(row, gb::no_mask, gb::no_accum, a, gb::IndexSel::all(n),
-                      u, gb::desc_t0);
-      const double du = dist.extract_element(u).value();
-      gb::Vector<double> cand(n);
-      gb::apply(cand, gb::no_mask, gb::no_accum,
-                gb::BindFirst<gb::Plus, double>{{}, du}, row);
-
-      // improved = positions where cand beats dist (or dist has no entry).
-      gb::Vector<bool> improved(n);
-      {
-        gb::Vector<double> both(n);
-        gb::ewise_mult(both, gb::no_mask, gb::no_accum, gb::Islt{}, cand,
-                       dist);
-        gb::select(improved, gb::no_mask, gb::no_accum, gb::SelValueNe{},
-                   both, 0.0);
-        // plus candidates with no dist entry yet.
-        gb::Vector<bool> fresh(n);
-        gb::apply(fresh, dist, gb::no_accum,
-                  gb::BindSecond<gb::Second, bool>{{}, true}, cand,
-                  gb::desc_sc);
-        gb::ewise_add(improved, gb::no_mask, gb::no_accum, gb::Lor{},
-                      improved, fresh);
-      }
-
-      // The whole expansion builds next-state copies; dist/closed/parent
-      // stay at the expansion boundary until the commit below, so a
-      // mid-step trip leaves capture() a consistent capsule.
-      gb::Vector<double> next_dist = dist;
-      gb::Vector<std::uint64_t> next_parent = parent;
-      gb::Vector<bool> next_closed = closed;
-      if (improved.nvals() > 0) {
-        // dist<improved,s> = cand; parent<improved,s> = u.
-        gb::apply(next_dist, improved, gb::no_accum, gb::Identity{}, cand,
-                  gb::desc_s);
-        gb::assign_scalar(next_parent, improved, gb::no_accum, u,
-                          gb::IndexSel::all(n), gb::desc_s);
-        // A consistent heuristic never improves a closed vertex; with a
-        // merely admissible one it can — reopen by clearing the closed flag.
-        gb::Vector<bool> reopen(n);
-        gb::ewise_mult(reopen, gb::no_mask, gb::no_accum, gb::Land{},
-                       improved, next_closed);
-        std::vector<Index> ri;
-        std::vector<bool> rv;
-        reopen.extract_tuples(ri, rv);
-        for (std::size_t k = 0; k < ri.size(); ++k) {
-          if (rv[k]) next_closed.remove_element(ri[k]);
+      },
+      [&] { return !finished; },
+      [&] {
+        // open = dist restricted to not-closed vertices.
+        gb::Vector<double> open(n);
+        gb::apply(open, closed, gb::no_accum, gb::Identity{}, dist,
+                  gb::desc_rsc);
+        if (open.nvals() == 0) {  // target unreachable
+          finished = true;
+          return;
         }
-      }
-      next_closed.set_element(u, true);
 
-      // Commit: plain moves plus a counter bump, no kernel poll points.
-      dist = std::move(next_dist);
-      parent = std::move(next_parent);
-      closed = std::move(next_closed);
-      ++res.expanded;
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture_astar(res, dist, closed, parent);
-      return res;
-    }
-    if (finished) {
-      res.stop = StopReason::none;
-      return res;
-    }
-  }
+        // f = g + h on the open set (h entries absent count as 0).
+        gb::Vector<double> f = open;
+        gb::ewise_mult(f, gb::no_mask, gb::Plus{}, gb::Second{}, open,
+                       heuristic);
+
+        // u = argmin f  (min-reduce, then select the minimum, then first
+        // index).
+        double fmin = gb::reduce_scalar(gb::min_monoid<double>(), f);
+        gb::Vector<double> at_min(n);
+        gb::select(at_min, gb::no_mask, gb::no_accum, gb::SelValueLe{}, f,
+                   fmin);
+        Index u = at_min.indices()[0];
+
+        if (u == target) {
+          res.distance = dist.extract_element(target).value();
+          // Path reconstruction through the parent vector (reads only).
+          std::vector<Index> rev;
+          Index cur = target;
+          while (true) {
+            rev.push_back(cur);
+            Index p = parent.extract_element(cur).value();
+            if (p == cur) break;
+            cur = p;
+          }
+          res.path.assign(rev.rbegin(), rev.rend());
+          finished = true;
+          return;
+        }
+
+        // Relax u's out-edges: cand = dist(u) + A(u, :).
+        gb::Vector<double> row(n);
+        gb::extract_col(row, gb::no_mask, gb::no_accum, a,
+                        gb::IndexSel::all(n), u, gb::desc_t0);
+        const double du = dist.extract_element(u).value();
+        gb::Vector<double> cand(n);
+        gb::apply(cand, gb::no_mask, gb::no_accum,
+                  gb::BindFirst<gb::Plus, double>{{}, du}, row);
+
+        // improved = positions where cand beats dist (or dist has no entry).
+        gb::Vector<bool> improved(n);
+        {
+          gb::Vector<double> both(n);
+          gb::ewise_mult(both, gb::no_mask, gb::no_accum, gb::Islt{}, cand,
+                         dist);
+          gb::select(improved, gb::no_mask, gb::no_accum, gb::SelValueNe{},
+                     both, 0.0);
+          // plus candidates with no dist entry yet.
+          gb::Vector<bool> fresh(n);
+          gb::apply(fresh, dist, gb::no_accum,
+                    gb::BindSecond<gb::Second, bool>{{}, true}, cand,
+                    gb::desc_sc);
+          gb::ewise_add(improved, gb::no_mask, gb::no_accum, gb::Lor{},
+                        improved, fresh);
+        }
+
+        // The whole expansion builds next-state copies; dist/closed/parent
+        // stay at the expansion boundary until the commit below.
+        gb::Vector<double> next_dist = dist;
+        gb::Vector<std::uint64_t> next_parent = parent;
+        gb::Vector<bool> next_closed = closed;
+        if (improved.nvals() > 0) {
+          // dist<improved,s> = cand; parent<improved,s> = u.
+          gb::apply(next_dist, improved, gb::no_accum, gb::Identity{}, cand,
+                    gb::desc_s);
+          gb::assign_scalar(next_parent, improved, gb::no_accum, u,
+                            gb::IndexSel::all(n), gb::desc_s);
+          // A consistent heuristic never improves a closed vertex; with a
+          // merely admissible one it can — reopen by clearing the closed
+          // flag.
+          gb::Vector<bool> reopen(n);
+          gb::ewise_mult(reopen, gb::no_mask, gb::no_accum, gb::Land{},
+                         improved, next_closed);
+          std::vector<Index> ri;
+          std::vector<bool> rv;
+          reopen.extract_tuples(ri, rv);
+          for (std::size_t k = 0; k < ri.size(); ++k) {
+            if (rv[k]) next_closed.remove_element(ri[k]);
+          }
+        }
+        next_closed.set_element(u, true);
+
+        // Commit: plain moves plus a counter bump, no kernel poll points.
+        dist = std::move(next_dist);
+        parent = std::move(next_parent);
+        closed = std::move(next_closed);
+        ++res.expanded;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("dist", dist);
+        cp.put_vector("closed", closed);
+        cp.put_vector("parent", parent);
+        cp.put_u64("expanded", res.expanded);
+      });
+  return res;
 }
 
 AStarResult astar(const Graph& g, Index source, Index target,

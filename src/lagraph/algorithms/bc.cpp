@@ -3,10 +3,12 @@
 // frontier matrix (forward sweep accumulating shortest-path counts), then
 // dependencies flow backwards through the stored per-level patterns.
 //
-// Resumable in three phases: 0 = forward sweep in progress (capsule carries
-// paths + frontier + the level patterns so far), 1 = forward sweep complete
-// (the dense dependency matrix is deterministic and is rebuilt, not stored),
-// 2 = backward sweep in progress (capsule carries bcu + the level index).
+// Resumable in three phases, which the driver's one step dispatches on:
+// 0 = forward sweep in progress (capsule carries paths + frontier + the level
+// patterns so far), 1 = forward sweep complete (the dense dependency matrix
+// is deterministic and is rebuilt, not stored), 2 = backward sweep in
+// progress (capsule carries bcu + the level index; d = 0 is the final
+// reduction).
 #include "lagraph/lagraph.hpp"
 #include "lagraph/util/check.hpp"
 
@@ -23,194 +25,92 @@ BcResult betweenness_run(const Graph& g, const std::vector<Index>& sources,
   }
 
   BcResult res;
-  Scope scope;
-
+  gb::Matrix<double> a1;        // pattern-only adjacency (graph-derived)
   gb::Matrix<double> paths;     // paths(k, v) = #shortest s_k->v paths so far
   gb::Matrix<double> frontier;  // newest level's counts (phase 0 only)
   gb::Matrix<double> bcu;       // dependency accumulator (phase 2 only)
   std::vector<gb::Matrix<bool>> levels;  // per-level frontier patterns
   std::uint64_t phase = 0;
   std::size_t d = 0;  // backward level index (phase 2 only)
+  bool done = false;
 
-  auto capture = [&](std::uint64_t ph, std::size_t level_d) {
-    capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-      cp.set_algorithm("betweenness");
-      cp.put_u64("phase", ph);
-      cp.put_u64("d", level_d);
-      cp.put_matrix("paths", paths);
-      cp.put_u64("level_count", levels.size());
-      for (std::size_t i = 0; i < levels.size(); ++i) {
-        cp.put_matrix("level" + std::to_string(i), levels[i]);
-      }
-      if (ph == 0) cp.put_matrix("frontier", frontier);
-      if (ph == 2) cp.put_matrix("bcu", bcu);
-    });
+  // Phase 0: one forward level. The whole level builds into temporaries;
+  // paths / frontier / levels stay intact until the commit.
+  auto forward = [&] {
+    gb::Matrix<bool> pat(ns, n);
+    gb::apply(pat, gb::no_mask, gb::no_accum,
+              gb::BindSecond<gb::Second, bool>{{}, true}, frontier);
+
+    // next<!paths, replace, s> = frontier +.x A1
+    gb::Matrix<double> next(ns, n);
+    gb::mxm(next, paths, gb::no_accum, gb::plus_times<double>(), frontier, a1,
+            gb::desc_rsc);
+    const bool exhausted = next.nvals() == 0;
+    gb::Matrix<double> np(ns, n);
+    if (!exhausted) {
+      // paths += next (patterns disjoint thanks to the mask).
+      gb::ewise_add(np, gb::no_mask, gb::no_accum, gb::Plus{}, paths, next);
+    }
+
+    // Commit: plain moves and a push_back, no kernel poll points.
+    levels.push_back(std::move(pat));
+    res.levels = levels.size();
+    if (exhausted) {
+      phase = 1;
+      return;
+    }
+    paths = std::move(np);
+    frontier = std::move(next);
   };
 
-  // Pattern-only adjacency (path counting ignores weights). Graph-derived,
-  // so it is rebuilt deterministically rather than checkpointed.
-  gb::Matrix<double> a1(n, n);
-  StopReason setup = scope.step([&] {
-    gb::apply(a1, gb::no_mask, gb::no_accum, gb::One{}, a);
-    if (resume != nullptr && !resume->empty()) {
-      check_resume(*resume, "betweenness");
-      res.checkpoint = *resume;
-      phase = resume->get_u64("phase");
-      d = static_cast<std::size_t>(resume->get_u64("d"));
-      paths = resume->get_matrix<double>("paths");
-      gb::check_value(paths.nrows() == ns && paths.ncols() == n,
-                      "betweenness: resume capsule does not match this run");
-      const auto nlevels = resume->get_u64("level_count");
-      levels.reserve(nlevels);
-      for (std::uint64_t i = 0; i < nlevels; ++i) {
-        levels.push_back(
-            resume->get_matrix<bool>("level" + std::to_string(i)));
+  // Phase 1: bcu(k, v) starts at 1 everywhere (dense), so it is a pure
+  // function of (ns, n) and need not live in the capsule.
+  auto seed_dependencies = [&] {
+    gb::Matrix<double> b(ns, n);
+    std::vector<Index> r, c;
+    std::vector<double> v;
+    r.reserve(ns * n);
+    c.reserve(ns * n);
+    for (Index k = 0; k < ns; ++k) {
+      for (Index j = 0; j < n; ++j) {
+        r.push_back(k);
+        c.push_back(j);
       }
-      if (phase == 0) frontier = resume->get_matrix<double>("frontier");
-      if (phase == 2) bcu = resume->get_matrix<double>("bcu");
-    } else {
-      paths = gb::Matrix<double>(ns, n);
-      std::vector<Index> r(ns), c(ns);
-      std::vector<double> v(ns, 1.0);
-      for (Index k = 0; k < ns; ++k) {
-        r[k] = k;
-        c[k] = sources[k];
-      }
-      paths.build(r, c, v, gb::Plus{});
-      frontier = paths.dup();
     }
-  });
-  if (setup != StopReason::none) {
-    // Fresh run: nothing worth capturing yet. Resumed run: res.checkpoint
-    // already holds the incoming capsule, so no progress is lost.
-    res.stop = setup;
-    return res;
-  }
-  res.levels = levels.size();
-
-  // Forward sweep: store each level's frontier pattern.
-  if (phase == 0) {
-    for (bool fwd_done = false; !fwd_done;) {
-      if (StopReason why = scope.interrupted(); why != StopReason::none) {
-        res.stop = why;
-        capture(0, 0);
-        return res;
-      }
-      StopReason why = scope.step([&] {
-        // The whole level builds into temporaries; paths / frontier / levels
-        // stay intact until the commit, so a mid-step trip leaves the
-        // level-boundary state capture() hands out fully consistent.
-        gb::Matrix<bool> pat(ns, n);
-        gb::apply(pat, gb::no_mask, gb::no_accum,
-                  gb::BindSecond<gb::Second, bool>{{}, true}, frontier);
-
-        // next<!paths, replace, s> = frontier +.x A1
-        gb::Matrix<double> next(ns, n);
-        gb::mxm(next, paths, gb::no_accum, gb::plus_times<double>(), frontier,
-                a1, gb::desc_rsc);
-        const bool exhausted = next.nvals() == 0;
-        gb::Matrix<double> np(ns, n);
-        if (!exhausted) {
-          // paths += next (patterns disjoint thanks to the mask).
-          gb::ewise_add(np, gb::no_mask, gb::no_accum, gb::Plus{}, paths,
-                        next);
-        }
-
-        // Commit: plain moves and a push_back, no kernel poll points.
-        levels.push_back(std::move(pat));
-        if (exhausted) {
-          fwd_done = true;
-          return;
-        }
-        paths = std::move(np);
-        frontier = std::move(next);
-      });
-      if (why != StopReason::none) {
-        res.stop = why;
-        capture(0, 0);
-        return res;
-      }
-      res.levels = levels.size();
-    }
-    phase = 1;
-  }
-
-  // Backward sweep setup: bcu(k, v) starts at 1 everywhere (dense), so it is
-  // a pure function of (ns, n) and need not live in the capsule.
-  if (phase < 2) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture(1, 0);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      bcu = gb::Matrix<double>(ns, n);
-      std::vector<Index> r, c;
-      std::vector<double> v;
-      r.reserve(ns * n);
-      c.reserve(ns * n);
-      for (Index k = 0; k < ns; ++k) {
-        for (Index j = 0; j < n; ++j) {
-          r.push_back(k);
-          c.push_back(j);
-        }
-      }
-      v.assign(r.size(), 1.0);
-      bcu.build(r, c, v, gb::Plus{});
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture(1, 0);
-      return res;
-    }
+    v.assign(r.size(), 1.0);
+    b.build(r, c, v, gb::Plus{});
+    bcu = std::move(b);
     phase = 2;
     d = levels.empty() ? 0 : levels.size() - 1;
-  }
+  };
 
-  // Dependencies flow backwards one stored level per resumable step.
-  while (d >= 1) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture(2, d);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      // w<S[d], replace, s> = bcu ./ paths   (the (1+delta)/sigma factor;
-      // bcu already contains the +1).
-      gb::Matrix<double> w(ns, n);
-      gb::ewise_mult(w, levels[d], gb::no_accum, gb::Div{}, bcu, paths,
-                     gb::desc_rs);
-      // w<S[d-1], replace, s> = w +.x A1'   (pull the factor up one level).
-      gb::Matrix<double> t(ns, n);
-      gb::Descriptor dt = gb::desc_rs;
-      dt.transpose_b = true;
-      gb::mxm(t, levels[d - 1], gb::no_accum, gb::plus_times<double>(), w, a1,
-              dt);
-      // bcu<S[d-1]> += t .* paths, committed by a single move so a mid-step
-      // trip leaves bcu at the previous level's state.
-      gb::Matrix<double> upd(ns, n);
-      gb::ewise_mult(upd, levels[d - 1], gb::no_accum, gb::Times{}, t, paths,
-                     gb::desc_s);
-      gb::Matrix<double> nb(ns, n);
-      gb::ewise_add(nb, gb::no_mask, gb::no_accum, gb::Plus{}, bcu, upd);
-      bcu = std::move(nb);
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture(2, d);
-      return res;
-    }
+  // Phase 2, d >= 1: dependencies flow backwards one stored level.
+  auto backward = [&] {
+    // w<S[d], replace, s> = bcu ./ paths   (the (1+delta)/sigma factor;
+    // bcu already contains the +1).
+    gb::Matrix<double> w(ns, n);
+    gb::ewise_mult(w, levels[d], gb::no_accum, gb::Div{}, bcu, paths,
+                   gb::desc_rs);
+    // w<S[d-1], replace, s> = w +.x A1'   (pull the factor up one level).
+    gb::Matrix<double> t(ns, n);
+    gb::Descriptor dt = gb::desc_rs;
+    dt.transpose_b = true;
+    gb::mxm(t, levels[d - 1], gb::no_accum, gb::plus_times<double>(), w, a1,
+            dt);
+    // bcu<S[d-1]> += t .* paths, committed by a single move so a mid-step
+    // trip leaves bcu at the previous level's state.
+    gb::Matrix<double> upd(ns, n);
+    gb::ewise_mult(upd, levels[d - 1], gb::no_accum, gb::Times{}, t, paths,
+                   gb::desc_s);
+    gb::Matrix<double> nb(ns, n);
+    gb::ewise_add(nb, gb::no_mask, gb::no_accum, gb::Plus{}, bcu, upd);
+    bcu = std::move(nb);
     --d;
-  }
+  };
 
-  // Final reduction + per-source baseline strip. Reads bcu, writes only the
-  // result vector, so a trip here re-runs cleanly from a phase-2/d=0 capsule.
-  if (StopReason why = scope.interrupted(); why != StopReason::none) {
-    res.stop = why;
-    capture(2, 0);
-    return res;
-  }
-  StopReason fin = scope.step([&] {
+  // Phase 2, d == 0: final reduction + per-source baseline strip. Reads bcu
+  // and writes only the result vector.
+  auto reduce_centrality = [&] {
     // centrality(v) = sum_k bcu(k, v) - ns  (strip the +1 baseline).
     gb::Vector<double> bc(n);
     gb::reduce(bc, gb::no_mask, gb::no_accum, gb::plus_monoid<double>(), bcu,
@@ -230,14 +130,67 @@ BcResult betweenness_run(const Graph& g, const std::vector<Index>& sources,
       }
     }
     res.centrality = std::move(bc);
-  });
-  if (fin != StopReason::none) {
-    res.stop = fin;
-    capture(2, 0);
-    return res;
-  }
-  res.stop = StopReason::none;
-  res.checkpoint.clear();
+    done = true;
+  };
+
+  drive(
+      res, "betweenness", resume,
+      [&](const Checkpoint* from) {
+        // Path counting ignores weights; A1 is graph-derived, so it is
+        // rebuilt deterministically rather than checkpointed.
+        a1 = gb::Matrix<double>(n, n);
+        gb::apply(a1, gb::no_mask, gb::no_accum, gb::One{}, a);
+        if (from != nullptr) {
+          phase = from->get_u64("phase");
+          d = static_cast<std::size_t>(from->get_u64("d"));
+          paths = from->get_matrix<double>("paths");
+          gb::check_value(
+              paths.nrows() == ns && paths.ncols() == n,
+              "betweenness: resume capsule does not match this run");
+          const auto nlevels = from->get_u64("level_count");
+          levels.reserve(nlevels);
+          for (std::uint64_t i = 0; i < nlevels; ++i) {
+            levels.push_back(
+                from->get_matrix<bool>("level" + std::to_string(i)));
+          }
+          if (phase == 0) frontier = from->get_matrix<double>("frontier");
+          if (phase == 2) bcu = from->get_matrix<double>("bcu");
+        } else {
+          paths = gb::Matrix<double>(ns, n);
+          std::vector<Index> r(ns), c(ns);
+          std::vector<double> v(ns, 1.0);
+          for (Index k = 0; k < ns; ++k) {
+            r[k] = k;
+            c[k] = sources[k];
+          }
+          paths.build(r, c, v, gb::Plus{});
+          frontier = paths.dup();
+        }
+        res.levels = levels.size();
+      },
+      [&] { return !done; },
+      [&] {
+        if (phase == 0) {
+          forward();
+        } else if (phase == 1) {
+          seed_dependencies();
+        } else if (d >= 1) {
+          backward();
+        } else {
+          reduce_centrality();
+        }
+      },
+      [&](Checkpoint& cp) {
+        cp.put_u64("phase", phase);
+        cp.put_u64("d", d);
+        cp.put_matrix("paths", paths);
+        cp.put_u64("level_count", levels.size());
+        for (std::size_t i = 0; i < levels.size(); ++i) {
+          cp.put_matrix("level" + std::to_string(i), levels[i]);
+        }
+        if (phase == 0) cp.put_matrix("frontier", frontier);
+        if (phase == 2) cp.put_matrix("bcu", bcu);
+      });
   return res;
 }
 

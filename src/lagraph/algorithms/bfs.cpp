@@ -36,43 +36,6 @@ gb::MxvMethod choose_direction(BfsVariant variant, double density,
   return gb::MxvMethod::push;
 }
 
-/// Loop state at a level boundary: level/parent so far, the next frontier
-/// (values = parent ids), and the direction-optimisation memory (previous
-/// density + direction) so the resumed push/pull choices match exactly.
-void capture(BfsResult& res, const gb::Vector<std::uint64_t>& frontier,
-             gb::MxvMethod dir, double prev_density) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("bfs");
-    cp.put_vector("level", res.level);
-    cp.put_vector("parent", res.parent);
-    cp.put_vector("frontier", frontier);
-    cp.put_i64("depth", res.depth);
-    cp.put_u64("dir", static_cast<std::uint64_t>(dir));
-    cp.put_f64("prev_density", prev_density);
-    std::vector<std::uint64_t> dirs;
-    dirs.reserve(res.directions.size());
-    for (gb::MxvMethod m : res.directions) {
-      dirs.push_back(static_cast<std::uint64_t>(m));
-    }
-    cp.put_array("directions", dirs);
-  });
-}
-
-/// Batch-loop state at a level boundary: levels so far, the frontier matrix,
-/// and the source list (validated on resume — a capsule only resumes the
-/// batch it was captured from).
-void capture_ms(BfsMsResult& res, const gb::Matrix<double>& frontier,
-                const std::vector<Index>& sources) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("bfs_level_ms");
-    cp.put_matrix("level", res.level);
-    cp.put_matrix("frontier", frontier);
-    cp.put_i64("depth", res.depth);
-    cp.put_array("sources",
-                 std::vector<std::uint64_t>(sources.begin(), sources.end()));
-  });
-}
-
 }  // namespace
 
 BfsMsResult bfs_level_ms(const Graph& g, const std::vector<Index>& sources,
@@ -87,76 +50,62 @@ BfsMsResult bfs_level_ms(const Graph& g, const std::vector<Index>& sources,
   }
 
   BfsMsResult res;
-  Scope scope;
-
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "bfs_level_ms");
-    res.checkpoint = *resume;
-  }
-
   // Frontier rows carry the batch: frontier(r, v) present when v joined row
   // r's frontier this level (values are 1.0 pattern carriers; the expansion
-  // semiring only needs the structure).
+  // semiring only needs the structure). The capsule also carries the source
+  // list: it resumes only the batch it was captured from.
   gb::Matrix<double> frontier;
-  StopReason setup = scope.step([&] {
-    if (resume != nullptr && !resume->empty()) {
-      auto saved = resume->get_array<std::uint64_t>("sources");
-      gb::check_value(saved.size() == sources.size() &&
-                          std::equal(saved.begin(), saved.end(),
-                                     sources.begin()),
-                      "bfs_level_ms: resume capsule is for another batch");
-      res.level = resume->get_matrix<std::int64_t>("level");
-      frontier = resume->get_matrix<double>("frontier");
-      gb::check_value(res.level.nrows() == k && res.level.ncols() == n,
-                      "bfs_level_ms: resume capsule does not match this graph");
-      res.depth = resume->get_i64("depth");
-    } else {
-      res.level = gb::Matrix<std::int64_t>(k, n);
-      frontier = gb::Matrix<double>(k, n);
-      std::vector<Index> rows(sources.size());
-      std::vector<double> ones(sources.size(), 1.0);
-      for (std::size_t r = 0; r < sources.size(); ++r) {
-        rows[r] = static_cast<Index>(r);
-      }
-      frontier.build(rows, sources, ones, gb::Plus{});
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-
-  std::int64_t depth = res.depth;
-  while (frontier.nvals() > 0) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      res.depth = depth;
-      capture_ms(res, frontier, sources);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      // level<frontier, s> = depth — idempotent, so re-running the body
-      // after a mid-step trip is safe (same discipline as the vector
-      // driver: state commits at level boundaries only).
-      gb::assign_scalar(res.level, frontier, gb::no_accum, depth,
-                        gb::IndexSel::all(k), gb::IndexSel::all(n), gb::desc_s);
-      // next<!level, replace, s> = frontier +.* A — one SpGEMM advances
-      // every row; the complemented structural mask prunes visited vertices
-      // per row, which is what keeps each row identical to its solo run.
-      gb::Matrix<double> next(k, n);
-      gb::mxm(next, res.level, gb::no_accum, gb::plus_times<double>(),
-              frontier, a, gb::desc_rsc);
-      frontier = std::move(next);
-      ++depth;
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      res.depth = depth;
-      capture_ms(res, frontier, sources);
-      return res;
-    }
-  }
-  res.depth = depth;
+  drive(
+      res, "bfs_level_ms", resume,
+      [&](const Checkpoint* from) {
+        if (from != nullptr) {
+          auto saved = from->get_array<std::uint64_t>("sources");
+          gb::check_value(saved.size() == sources.size() &&
+                              std::equal(saved.begin(), saved.end(),
+                                         sources.begin()),
+                          "bfs_level_ms: resume capsule is for another batch");
+          res.level = from->get_matrix<std::int64_t>("level");
+          frontier = from->get_matrix<double>("frontier");
+          gb::check_value(
+              res.level.nrows() == k && res.level.ncols() == n,
+              "bfs_level_ms: resume capsule does not match this graph");
+          res.depth = from->get_i64("depth");
+        } else {
+          res.level = gb::Matrix<std::int64_t>(k, n);
+          frontier = gb::Matrix<double>(k, n);
+          std::vector<Index> rows(sources.size());
+          std::vector<double> ones(sources.size(), 1.0);
+          for (std::size_t r = 0; r < sources.size(); ++r) {
+            rows[r] = static_cast<Index>(r);
+          }
+          frontier.build(rows, sources, ones, gb::Plus{});
+        }
+      },
+      [&] { return frontier.nvals() > 0; },
+      [&] {
+        // level<frontier, s> = depth — idempotent, so re-running the body
+        // after a mid-step trip is safe (same discipline as the vector
+        // driver: state commits at level boundaries only).
+        gb::assign_scalar(res.level, frontier, gb::no_accum, res.depth,
+                          gb::IndexSel::all(k), gb::IndexSel::all(n),
+                          gb::desc_s);
+        // next<!level, replace, s> = frontier +.* A — one SpGEMM advances
+        // every row; the complemented structural mask prunes visited
+        // vertices per row, which is what keeps each row identical to its
+        // solo run.
+        gb::Matrix<double> next(k, n);
+        gb::mxm(next, res.level, gb::no_accum, gb::plus_times<double>(),
+                frontier, a, gb::desc_rsc);
+        frontier = std::move(next);
+        ++res.depth;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_matrix("level", res.level);
+        cp.put_matrix("frontier", frontier);
+        cp.put_i64("depth", res.depth);
+        cp.put_array("sources", std::vector<std::uint64_t>(sources.begin(),
+                                                           sources.end()));
+      });
   return res;
 }
 
@@ -168,112 +117,92 @@ BfsResult bfs(const Graph& g, Index source, BfsVariant variant,
   gb::check_index(source < n, "bfs: source out of range");
 
   BfsResult res;
-  Scope scope;
-
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "bfs");
-    res.checkpoint = *resume;
-  }
-
-  // Setup runs governed too: a trip while materialising the transpose or
-  // seeding the frontier returns clean telemetry, never a raw platform
-  // exception.
+  // Loop state beyond res: the next frontier (values = parent ids) and the
+  // direction-optimisation memory (previous density + direction), so the
+  // resumed push/pull choices match exactly.
   gb::Vector<std::uint64_t> frontier;
-  gb::MxvMethod resumed_dir = gb::MxvMethod::push;
-  double resumed_density = 0.0;
-  StopReason setup = scope.step([&] {
-    if (variant != BfsVariant::push) {
-      // Pull traversals need the opposite orientation resident; materialise
-      // it up front (the AT cached property).
-      g.ensure_transpose();
-    }
-    if (resume != nullptr && !resume->empty()) {
-      res.level = resume->get_vector<std::int64_t>("level");
-      res.parent = resume->get_vector<std::int64_t>("parent");
-      frontier = resume->get_vector<std::uint64_t>("frontier");
-      gb::check_value(frontier.size() == n,
-                      "bfs: resume capsule does not match this graph");
-      res.depth = resume->get_i64("depth");
-      resumed_dir = static_cast<gb::MxvMethod>(resume->get_u64("dir"));
-      resumed_density = resume->get_f64("prev_density");
-      for (std::uint64_t m :
-           resume->get_array<std::uint64_t>("directions")) {
-        res.directions.push_back(static_cast<gb::MxvMethod>(m));
-      }
-    } else {
-      res.level = gb::Vector<std::int64_t>(n);
-      res.parent = gb::Vector<std::int64_t>(n);
-      // frontier(v) = id of v's BFS parent. Seed: the source is its own
-      // parent.
-      frontier = gb::Vector<std::uint64_t>(n);
-      frontier.set_element(source, source);
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-
-  // Masked-assign descriptors (Fig. 2 line 5 uses the frontier as a
-  // structural mask; line 6 uses the complemented visited mask with replace).
-  gb::Descriptor record = gb::desc_s;
-  gb::Descriptor expand = gb::desc_rsc;
-
+  gb::MxvMethod dir = gb::MxvMethod::push;
+  double prev_density = 0.0;
   const double threshold = gb::desc_default.push_pull_threshold;
-  gb::MxvMethod dir = resumed_dir;
-  double prev_density = resumed_density;
+  drive(
+      res, "bfs", resume,
+      [&](const Checkpoint* from) {
+        if (variant != BfsVariant::push) {
+          // Pull traversals need the opposite orientation resident;
+          // materialise it up front (the AT cached property).
+          g.ensure_transpose();
+        }
+        if (from != nullptr) {
+          res.level = from->get_vector<std::int64_t>("level");
+          res.parent = from->get_vector<std::int64_t>("parent");
+          frontier = from->get_vector<std::uint64_t>("frontier");
+          gb::check_value(frontier.size() == n,
+                          "bfs: resume capsule does not match this graph");
+          res.depth = from->get_i64("depth");
+          dir = static_cast<gb::MxvMethod>(from->get_u64("dir"));
+          prev_density = from->get_f64("prev_density");
+          for (std::uint64_t m :
+               from->get_array<std::uint64_t>("directions")) {
+            res.directions.push_back(static_cast<gb::MxvMethod>(m));
+          }
+        } else {
+          res.level = gb::Vector<std::int64_t>(n);
+          res.parent = gb::Vector<std::int64_t>(n);
+          // frontier(v) = id of v's BFS parent. Seed: the source is its own
+          // parent.
+          frontier = gb::Vector<std::uint64_t>(n);
+          frontier.set_element(source, source);
+        }
+      },
+      [&] { return frontier.nvals() > 0; },
+      [&] {
+        // level<frontier,s> = depth (Fig. 2 line 5: the frontier as a
+        // structural mask). Idempotent (same entries, same values), so
+        // re-running this body after a mid-step trip is safe.
+        gb::assign_scalar(res.level, frontier, gb::no_accum, res.depth,
+                          gb::IndexSel::all(n), gb::desc_s);
+        // parent<frontier,s> = frontier  (parent ids ride in the values)
+        gb::apply(res.parent, frontier, gb::no_accum, gb::Identity{},
+                  frontier, gb::desc_s);
 
-  std::int64_t depth = res.depth;
-  while (frontier.nvals() > 0) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      res.depth = depth;
-      capture(res, frontier, dir, prev_density);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      // level<frontier,s> = depth. Idempotent (same entries, same values),
-      // so re-running this body after a mid-step trip is safe.
-      gb::assign_scalar(res.level, frontier, gb::no_accum, depth,
-                        gb::IndexSel::all(n), record);
-      // parent<frontier,s> = frontier  (parent ids ride in the values)
-      gb::apply(res.parent, frontier, gb::no_accum, gb::Identity{}, frontier,
-                record);
+        // Carrier ids for the expansion go into a fresh vector: the frontier
+        // (still holding parent ids) stays intact until the commit below.
+        gb::Vector<std::uint64_t> carrier(n);
+        gb::apply_indexop(carrier, gb::no_mask, gb::no_accum, gb::RowIndex{},
+                          frontier, std::int64_t{0});
 
-      // Carrier ids for the expansion go into a fresh vector: the frontier
-      // (still holding parent ids) stays intact until the commit below, so
-      // a trip anywhere in this body leaves the loop state exactly at the
-      // previous level boundary and capture() hands out a consistent
-      // capsule.
-      gb::Vector<std::uint64_t> carrier(n);
-      gb::apply_indexop(carrier, gb::no_mask, gb::no_accum, gb::RowIndex{},
-                        frontier, std::int64_t{0});
+        const double density = frontier.density();
+        gb::MxvMethod step_dir =
+            choose_direction(variant, density, prev_density, threshold, dir);
+        // next<!level, replace, s> = carrier min.first A (Fig. 2 line 6:
+        // the complemented visited mask with replace).
+        gb::Descriptor expand = gb::desc_rsc;
+        expand.mxv = step_dir;
+        gb::Vector<std::uint64_t> next(n);
+        gb::vxm(next, res.level, gb::no_accum, gb::min_first<std::uint64_t>(),
+                carrier, a, expand);
 
-      double density = frontier.density();
-      gb::MxvMethod step_dir =
-          choose_direction(variant, density, prev_density, threshold, dir);
-      expand.mxv = step_dir;
-
-      // next<!level, replace, s> = carrier min.first A
-      gb::Vector<std::uint64_t> next(n);
-      gb::vxm(next, res.level, gb::no_accum, gb::min_first<std::uint64_t>(),
-              carrier, a, expand);
-
-      // Commit: nothing below reaches a governor poll point.
-      frontier = std::move(next);
-      dir = step_dir;
-      prev_density = density;
-      res.directions.push_back(dir);
-      ++depth;
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      res.depth = depth;
-      capture(res, frontier, dir, prev_density);
-      return res;
-    }
-  }
-  res.depth = depth;
+        // Commit: nothing below reaches a governor poll point.
+        frontier = std::move(next);
+        dir = step_dir;
+        prev_density = density;
+        res.directions.push_back(dir);
+        ++res.depth;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("level", res.level);
+        cp.put_vector("parent", res.parent);
+        cp.put_vector("frontier", frontier);
+        cp.put_i64("depth", res.depth);
+        cp.put_u64("dir", static_cast<std::uint64_t>(dir));
+        cp.put_f64("prev_density", prev_density);
+        std::vector<std::uint64_t> dirs;
+        dirs.reserve(res.directions.size());
+        for (gb::MxvMethod m : res.directions) {
+          dirs.push_back(static_cast<std::uint64_t>(m));
+        }
+        cp.put_array("directions", dirs);
+      });
   return res;
 }
 

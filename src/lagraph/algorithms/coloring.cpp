@@ -34,98 +34,71 @@ ColoringResult coloring_run(const Graph& g, std::uint64_t seed,
   const Index n = g.nrows();
 
   ColoringResult res;
-  Scope scope;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "coloring");
-    res.checkpoint = *resume;
-  }
-
   gb::Matrix<double> a;
   gb::Vector<std::uint64_t> color;
   gb::Vector<bool> uncolored;
   std::uint64_t round = 0;
-  StopReason setup = scope.step([&] {
-    a = gb::Matrix<double>(n, n);
-    gb::select(a, gb::no_mask, gb::no_accum, gb::SelOffdiag{},
-               g.undirected_view(), std::int64_t{0});
-    if (resume != nullptr && !resume->empty()) {
-      color = resume->get_vector<std::uint64_t>("color");
-      gb::check_value(color.size() == n,
-                      "coloring: resume capsule does not match this graph");
-      uncolored = resume->get_vector<bool>("uncolored");
-      round = resume->get_u64("round");
-    } else {
-      color = gb::Vector<std::uint64_t>(n);
-      uncolored = gb::Vector<bool>::full(n, true);
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
+  drive(
+      res, "coloring", resume,
+      [&](const Checkpoint* from) {
+        a = gb::Matrix<double>(n, n);
+        gb::select(a, gb::no_mask, gb::no_accum, gb::SelOffdiag{},
+                   g.undirected_view(), std::int64_t{0});
+        if (from != nullptr) {
+          color = from->get_vector<std::uint64_t>("color");
+          gb::check_value(color.size() == n,
+                          "coloring: resume capsule does not match this graph");
+          uncolored = from->get_vector<bool>("uncolored");
+          round = from->get_u64("round");
+        } else {
+          color = gb::Vector<std::uint64_t>(n);
+          uncolored = gb::Vector<bool>::full(n, true);
+        }
+      },
+      [&] { return uncolored.nvals() > 0; },
+      [&] {
+        // The RNG round commits only at the bottom: a mid-step rerun draws
+        // the same priorities, and the color assign is idempotent.
+        const std::uint64_t r = round + 1;
+        gb::Vector<std::uint64_t> prio(n);
+        gb::apply_indexop(prio, gb::no_mask, gb::no_accum,
+                          PriorityOp{splitmix(seed) ^ r}, uncolored,
+                          std::int64_t{0});
 
-  auto capture = [&] {
-    capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-      cp.set_algorithm("coloring");
-      cp.put_vector("color", color);
-      cp.put_vector("uncolored", uncolored);
-      cp.put_u64("round", round);
-    });
-  };
+        gb::Vector<std::uint64_t> nmax(n);
+        gb::mxv(nmax, uncolored, gb::no_accum,
+                gb::max_second<std::uint64_t>(), a, prio, gb::desc_s);
 
-  while (uncolored.nvals() > 0) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      res.rounds = round;
-      capture();
-      res.colors = std::move(color);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      // The RNG round commits only at the bottom: a mid-step rerun draws
-      // the same priorities, and the color assign is idempotent.
-      const std::uint64_t r = round + 1;
-      gb::Vector<std::uint64_t> prio(n);
-      gb::apply_indexop(prio, gb::no_mask, gb::no_accum,
-                        PriorityOp{splitmix(seed) ^ r}, uncolored,
-                        std::int64_t{0});
+        gb::Vector<bool> winners(n);
+        gb::Vector<std::uint64_t> beat(n);
+        gb::ewise_mult(beat, gb::no_mask, gb::no_accum, gb::Isgt{}, prio,
+                       nmax);
+        gb::select(winners, gb::no_mask, gb::no_accum, gb::SelValueNe{}, beat,
+                   std::uint64_t{0});
+        gb::Vector<bool> lonely(n);
+        gb::apply(lonely, nmax, gb::no_accum, gb::One{}, uncolored,
+                  gb::desc_sc);
+        gb::ewise_add(winners, gb::no_mask, gb::no_accum, gb::Lor{}, winners,
+                      lonely);
 
-      gb::Vector<std::uint64_t> nmax(n);
-      gb::mxv(nmax, uncolored, gb::no_accum, gb::max_second<std::uint64_t>(),
-              a, prio, gb::desc_s);
+        // color<winners,s> = round
+        gb::assign_scalar(color, winners, gb::no_accum, r,
+                          gb::IndexSel::all(n), gb::desc_s);
 
-      gb::Vector<bool> winners(n);
-      gb::Vector<std::uint64_t> beat(n);
-      gb::ewise_mult(beat, gb::no_mask, gb::no_accum, gb::Isgt{}, prio, nmax);
-      gb::select(winners, gb::no_mask, gb::no_accum, gb::SelValueNe{}, beat,
-                 std::uint64_t{0});
-      gb::Vector<bool> lonely(n);
-      gb::apply(lonely, nmax, gb::no_accum, gb::One{}, uncolored, gb::desc_sc);
-      gb::ewise_add(winners, gb::no_mask, gb::no_accum, gb::Lor{}, winners,
-                    lonely);
+        // uncolored -= winners.
+        gb::Vector<bool> next(n);
+        gb::apply(next, winners, gb::no_accum, gb::Identity{}, uncolored,
+                  gb::desc_rsc);
 
-      // color<winners,s> = round
-      gb::assign_scalar(color, winners, gb::no_accum, r, gb::IndexSel::all(n),
-                        gb::desc_s);
-
-      // uncolored -= winners.
-      gb::Vector<bool> next(n);
-      gb::apply(next, winners, gb::no_accum, gb::Identity{}, uncolored,
-                gb::desc_rsc);
-
-      // Commit: nothing below reaches a governor poll point.
-      uncolored = std::move(next);
-      ++round;
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      res.rounds = round;
-      capture();
-      res.colors = std::move(color);
-      return res;
-    }
-  }
-  res.stop = StopReason::converged;
+        // Commit: nothing below reaches a governor poll point.
+        uncolored = std::move(next);
+        ++round;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("color", color);
+        cp.put_vector("uncolored", uncolored);
+        cp.put_u64("round", round);
+      });
   res.rounds = round;
   res.colors = std::move(color);
   return res;

@@ -11,18 +11,6 @@
 
 namespace lagraph {
 
-namespace {
-
-void capture_dnn(DnnResult& res, const gb::Matrix<double>& y) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("dnn");
-    cp.put_matrix("y", y);
-    cp.put_i64("layers_done", res.layers_done);
-  });
-}
-
-}  // namespace
-
 DnnResult dnn_inference_run(const gb::Matrix<double>& y0,
                             const std::vector<gb::Matrix<double>>& weights,
                             const std::vector<double>& biases, double ymax,
@@ -31,65 +19,45 @@ DnnResult dnn_inference_run(const gb::Matrix<double>& y0,
                   "dnn_inference: one bias per layer");
 
   DnnResult res;
-  Scope scope;
-
   gb::Matrix<double> y;
-  StopReason setup = scope.step([&] {
-    if (resume != nullptr && !resume->empty()) {
-      check_resume(*resume, "dnn");
-      res.checkpoint = *resume;
-      y = resume->get_matrix<double>("y");
-      gb::check_value(y.nrows() == y0.nrows(),
-                      "dnn_inference: resume capsule does not match y0");
-      res.layers_done = static_cast<int>(resume->get_i64("layers_done"));
-    } else {
-      y = y0.dup();
-    }
-  });
-  if (setup != StopReason::none) {
-    // Fresh run: nothing worth capturing yet. Resumed run: res.checkpoint
-    // already holds the incoming capsule, so no progress is lost.
-    res.stop = setup;
-    return res;
-  }
+  drive(
+      res, "dnn", resume,
+      [&](const Checkpoint* from) {
+        if (from != nullptr) {
+          y = from->get_matrix<double>("y");
+          gb::check_value(y.nrows() == y0.nrows(),
+                          "dnn_inference: resume capsule does not match y0");
+          res.layers_done = static_cast<int>(from->get_i64("layers_done"));
+        } else {
+          y = y0.dup();
+        }
+      },
+      [&] { return static_cast<std::size_t>(res.layers_done) < weights.size(); },
+      [&] {
+        const auto layer = static_cast<std::size_t>(res.layers_done);
+        const auto& w = weights[layer];
+        gb::check_dims(y.ncols() == w.nrows(), "dnn_inference: layer shape");
 
-  for (std::size_t layer = static_cast<std::size_t>(res.layers_done);
-       layer < weights.size(); ++layer) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture_dnn(res, y);
-      res.y = std::move(y);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      const auto& w = weights[layer];
-      gb::check_dims(y.ncols() == w.nrows(), "dnn_inference: layer shape");
+        // The whole layer builds into temporaries; y stays at the layer
+        // boundary until the commit.
+        gb::Matrix<double> z(y.nrows(), w.ncols());
+        gb::mxm(z, gb::no_mask, gb::no_accum, gb::plus_times<double>(), y, w);
 
-      // The whole layer builds into temporaries; y stays at the layer
-      // boundary until the commit, so a mid-step trip captures cleanly.
-      gb::Matrix<double> z(y.nrows(), w.ncols());
-      gb::mxm(z, gb::no_mask, gb::no_accum, gb::plus_times<double>(), y, w);
-
-      // Bias, ReLU prune, and clip.
-      gb::apply(z, gb::no_mask, gb::no_accum,
-                gb::BindSecond<gb::Plus, double>{{}, biases[layer]}, z);
-      gb::Matrix<double> pos(z.nrows(), z.ncols());
-      gb::select(pos, gb::no_mask, gb::no_accum, gb::SelValueGt{}, z, 0.0);
-      gb::apply(pos, gb::no_mask, gb::no_accum,
-                gb::BindSecond<gb::Min, double>{{}, ymax}, pos);
-      y = std::move(pos);  // commit
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture_dnn(res, y);
-      res.y = std::move(y);
-      return res;
-    }
-    res.layers_done = static_cast<int>(layer) + 1;
-  }
-
+        // Bias, ReLU prune, and clip.
+        gb::apply(z, gb::no_mask, gb::no_accum,
+                  gb::BindSecond<gb::Plus, double>{{}, biases[layer]}, z);
+        gb::Matrix<double> pos(z.nrows(), z.ncols());
+        gb::select(pos, gb::no_mask, gb::no_accum, gb::SelValueGt{}, z, 0.0);
+        gb::apply(pos, gb::no_mask, gb::no_accum,
+                  gb::BindSecond<gb::Min, double>{{}, ymax}, pos);
+        y = std::move(pos);  // commit
+        ++res.layers_done;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_matrix("y", y);
+        cp.put_i64("layers_done", res.layers_done);
+      });
   res.y = std::move(y);
-  res.stop = StopReason::none;
   return res;
 }
 

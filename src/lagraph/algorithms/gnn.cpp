@@ -37,14 +37,6 @@ gb::Matrix<double> normalized_adjacency(const Graph& g) {
   return norm;
 }
 
-void capture_gcn(GcnResult& res, const gb::Matrix<double>& h) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("gcn");
-    cp.put_matrix("h", h);
-    cp.put_i64("layers_done", res.layers_done);
-  });
-}
-
 }  // namespace
 
 GcnResult gcn_inference_run(const Graph& g, const gb::Matrix<double>& features,
@@ -55,73 +47,54 @@ GcnResult gcn_inference_run(const Graph& g, const gb::Matrix<double>& features,
   gb::check_value(!weights.empty(), "gcn: at least one layer");
 
   GcnResult res;
-  Scope scope;
-
   // Â is a pure function of the graph, so it is rebuilt deterministically in
-  // the governed setup step rather than stored in the capsule.
+  // the governed setup rather than stored in the capsule.
   gb::Matrix<double> norm;
   gb::Matrix<double> h;
-  StopReason setup = scope.step([&] {
-    norm = normalized_adjacency(g);
-    if (resume != nullptr && !resume->empty()) {
-      check_resume(*resume, "gcn");
-      res.checkpoint = *resume;
-      h = resume->get_matrix<double>("h");
-      gb::check_value(h.nrows() == g.nrows(),
-                      "gcn: resume capsule does not match this graph");
-      res.layers_done = static_cast<int>(resume->get_i64("layers_done"));
-    } else {
-      h = features.dup();
-    }
-  });
-  if (setup != StopReason::none) {
-    // Fresh run: nothing worth capturing yet. Resumed run: res.checkpoint
-    // already holds the incoming capsule, so no progress is lost.
-    res.stop = setup;
-    return res;
-  }
+  drive(
+      res, "gcn", resume,
+      [&](const Checkpoint* from) {
+        norm = normalized_adjacency(g);
+        if (from != nullptr) {
+          h = from->get_matrix<double>("h");
+          gb::check_value(h.nrows() == g.nrows(),
+                          "gcn: resume capsule does not match this graph");
+          res.layers_done = static_cast<int>(from->get_i64("layers_done"));
+        } else {
+          h = features.dup();
+        }
+      },
+      [&] { return static_cast<std::size_t>(res.layers_done) < weights.size(); },
+      [&] {
+        const auto layer = static_cast<std::size_t>(res.layers_done);
+        const auto& w = weights[layer];
+        gb::check_dims(h.ncols() == w.nrows(), "gcn: layer shape");
 
-  for (std::size_t layer = static_cast<std::size_t>(res.layers_done);
-       layer < weights.size(); ++layer) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture_gcn(res, h);
-      res.h = std::move(h);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      const auto& w = weights[layer];
-      gb::check_dims(h.ncols() == w.nrows(), "gcn: layer shape");
+        // Aggregate: Z = Â H (message passing), then transform: Z W. All
+        // temporaries; h commits by one move.
+        gb::Matrix<double> agg(g.nrows(), h.ncols());
+        gb::mxm(agg, gb::no_mask, gb::no_accum, gb::plus_times<double>(),
+                norm, h);
+        gb::Matrix<double> z(g.nrows(), w.ncols());
+        gb::mxm(z, gb::no_mask, gb::no_accum, gb::plus_times<double>(), agg,
+                w);
 
-      // Aggregate: Z = Â H (message passing), then transform: Z W. All
-      // temporaries; h commits by one move, so mid-step trips capture the
-      // previous layer boundary.
-      gb::Matrix<double> agg(g.nrows(), h.ncols());
-      gb::mxm(agg, gb::no_mask, gb::no_accum, gb::plus_times<double>(), norm,
-              h);
-      gb::Matrix<double> z(g.nrows(), w.ncols());
-      gb::mxm(z, gb::no_mask, gb::no_accum, gb::plus_times<double>(), agg, w);
-
-      if (layer + 1 < weights.size()) {
-        // ReLU keeps activations sparse between layers.
-        gb::Matrix<double> relu(z.nrows(), z.ncols());
-        gb::select(relu, gb::no_mask, gb::no_accum, gb::SelValueGt{}, z, 0.0);
-        h = std::move(relu);
-      } else {
-        h = std::move(z);  // final layer: linear logits
-      }
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture_gcn(res, h);
-      res.h = std::move(h);
-      return res;
-    }
-    res.layers_done = static_cast<int>(layer) + 1;
-  }
-
+        if (layer + 1 < weights.size()) {
+          // ReLU keeps activations sparse between layers.
+          gb::Matrix<double> relu(z.nrows(), z.ncols());
+          gb::select(relu, gb::no_mask, gb::no_accum, gb::SelValueGt{}, z,
+                     0.0);
+          h = std::move(relu);
+        } else {
+          h = std::move(z);  // final layer: linear logits
+        }
+        ++res.layers_done;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_matrix("h", h);
+        cp.put_i64("layers_done", res.layers_done);
+      });
   res.h = std::move(h);
-  res.stop = StopReason::none;
   return res;
 }
 

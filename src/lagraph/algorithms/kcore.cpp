@@ -13,12 +13,6 @@ KcoreResult kcore_run(const Graph& g, const Checkpoint* resume) {
   const Index n = g.nrows();
 
   KcoreResult res;
-  Scope scope;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "kcore");
-    res.checkpoint = *resume;
-  }
-
   // Simple pattern (no self-loops; they never contribute to coreness). The
   // pattern is derived from the graph, so it is rebuilt on resume rather
   // than checkpointed.
@@ -26,90 +20,69 @@ KcoreResult kcore_run(const Graph& g, const Checkpoint* resume) {
   gb::Vector<std::uint64_t> coreness;
   gb::Vector<bool> alive;
   std::uint64_t k = 1;
-  StopReason setup = scope.step([&] {
-    a = gb::Matrix<std::int64_t>(n, n);
-    gb::Matrix<std::int64_t> ones(n, n);
-    gb::apply(ones, gb::no_mask, gb::no_accum, gb::One{}, g.undirected_view());
-    gb::select(a, gb::no_mask, gb::no_accum, gb::SelOffdiag{}, ones,
-               std::int64_t{0});
-    if (resume != nullptr && !resume->empty()) {
-      coreness = resume->get_vector<std::uint64_t>("coreness");
-      gb::check_value(coreness.size() == n,
-                      "kcore: resume capsule does not match this graph");
-      alive = resume->get_vector<bool>("alive");
-      k = resume->get_u64("k");
-    } else {
-      coreness = gb::Vector<std::uint64_t>::full(n, 0);
-      alive = gb::Vector<bool>::full(n, true);
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
+  drive(
+      res, "kcore", resume,
+      [&](const Checkpoint* from) {
+        a = gb::Matrix<std::int64_t>(n, n);
+        gb::Matrix<std::int64_t> ones(n, n);
+        gb::apply(ones, gb::no_mask, gb::no_accum, gb::One{},
+                  g.undirected_view());
+        gb::select(a, gb::no_mask, gb::no_accum, gb::SelOffdiag{}, ones,
+                   std::int64_t{0});
+        if (from != nullptr) {
+          coreness = from->get_vector<std::uint64_t>("coreness");
+          gb::check_value(coreness.size() == n,
+                          "kcore: resume capsule does not match this graph");
+          alive = from->get_vector<bool>("alive");
+          k = from->get_u64("k");
+        } else {
+          coreness = gb::Vector<std::uint64_t>::full(n, 0);
+          alive = gb::Vector<bool>::full(n, true);
+        }
+      },
+      [&] { return alive.nvals() > 0; },
+      [&] {
+        // Degrees inside the surviving subgraph: deg = A ⊕.pair alive.
+        gb::Vector<std::int64_t> deg(n);
+        gb::mxv(deg, alive, gb::no_accum, gb::plus_pair<std::int64_t>(), a,
+                alive, gb::desc_rs);
 
-  auto capture = [&] {
-    capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-      cp.set_algorithm("kcore");
-      cp.put_vector("coreness", coreness);
-      cp.put_vector("alive", alive);
-      cp.put_u64("k", k);
-    });
-  };
+        // Peel everyone whose in-set degree is below k. Vertices with no deg
+        // entry (isolated within the set) peel too.
+        gb::Vector<bool> weak(n);
+        {
+          gb::Vector<std::int64_t> low(n);
+          gb::select(low, gb::no_mask, gb::no_accum, gb::SelValueLt{}, deg,
+                     static_cast<std::int64_t>(k));
+          gb::apply(weak, gb::no_mask, gb::no_accum, gb::One{}, low);
+          gb::Vector<bool> isolated(n);
+          gb::apply(isolated, deg, gb::no_accum, gb::Identity{}, alive,
+                    gb::desc_rsc);
+          gb::ewise_add(weak, gb::no_mask, gb::no_accum, gb::Lor{}, weak,
+                        isolated);
+        }
 
-  while (alive.nvals() > 0) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      res.k = k;
-      capture();
-      res.coreness = std::move(coreness);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      // Degrees inside the surviving subgraph: deg = A ⊕.pair alive.
-      gb::Vector<std::int64_t> deg(n);
-      gb::mxv(deg, alive, gb::no_accum, gb::plus_pair<std::int64_t>(), a,
-              alive, gb::desc_rs);
-
-      // Peel everyone whose in-set degree is below k. Vertices with no deg
-      // entry (isolated within the set) peel too.
-      gb::Vector<bool> weak(n);
-      {
-        gb::Vector<std::int64_t> low(n);
-        gb::select(low, gb::no_mask, gb::no_accum, gb::SelValueLt{}, deg,
-                   static_cast<std::int64_t>(k));
-        gb::apply(weak, gb::no_mask, gb::no_accum, gb::One{}, low);
-        gb::Vector<bool> isolated(n);
-        gb::apply(isolated, deg, gb::no_accum, gb::Identity{}, alive,
+        if (weak.nvals() == 0) {
+          // Everyone surviving is in the k-core: record and raise k. A trip
+          // during the assign re-runs it on resume with identical mask and
+          // value (idempotent), so (coreness, alive, k) stays consistent.
+          gb::assign_scalar(coreness, alive, gb::no_accum, k,
+                            gb::IndexSel::all(n), gb::desc_s);
+          ++k;
+          return;
+        }
+        // Remove the weak vertices; their coreness stays at k-1 (already
+        // recorded when they last survived a full k-level).
+        gb::Vector<bool> next(n);
+        gb::apply(next, weak, gb::no_accum, gb::Identity{}, alive,
                   gb::desc_rsc);
-        gb::ewise_add(weak, gb::no_mask, gb::no_accum, gb::Lor{}, weak,
-                      isolated);
-      }
-
-      if (weak.nvals() == 0) {
-        // Everyone surviving is in the k-core: record and raise k. A trip
-        // during the assign re-runs it on resume with identical mask and
-        // value (idempotent), so (coreness, alive, k) stays consistent.
-        gb::assign_scalar(coreness, alive, gb::no_accum, k,
-                          gb::IndexSel::all(n), gb::desc_s);
-        ++k;
-        return;
-      }
-      // Remove the weak vertices; their coreness stays at k-1 (already
-      // recorded when they last survived a full k-level).
-      gb::Vector<bool> next(n);
-      gb::apply(next, weak, gb::no_accum, gb::Identity{}, alive, gb::desc_rsc);
-      alive = std::move(next);  // commit
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      res.k = k;
-      capture();
-      res.coreness = std::move(coreness);
-      return res;
-    }
-  }
-  res.stop = StopReason::converged;
+        alive = std::move(next);  // commit
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("coreness", coreness);
+        cp.put_vector("alive", alive);
+        cp.put_u64("k", k);
+      });
   res.k = k;
   res.coreness = std::move(coreness);
   return res;

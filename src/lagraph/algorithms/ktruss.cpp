@@ -10,82 +10,52 @@ KtrussResult ktruss_run(const Graph& g, std::uint64_t k,
                         const Checkpoint* resume) {
   check_graph(g, "ktruss");
   gb::check_value(k >= 3, "ktruss: k must be >= 3");
-  const auto& a0 = g.undirected_view();
-  const Index n = a0.nrows();
+  const Index n = g.nrows();
+  const auto support_needed = static_cast<std::int64_t>(k) - 2;
 
   KtrussResult res;
-  Scope scope;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "ktruss");
-    res.checkpoint = *resume;
-  }
-
-  // C starts as the off-diagonal pattern of A, or the capsule's survivor
-  // set.
-  gb::Matrix<std::int64_t> c;
-  StopReason setup = scope.step([&] {
-    if (resume != nullptr && !resume->empty()) {
-      c = resume->get_matrix<std::int64_t>("c");
-      gb::check_value(c.nrows() == n,
-                      "ktruss: resume capsule does not match this graph");
-      res.rounds = static_cast<int>(resume->get_i64("rounds"));
-    } else {
-      c = gb::Matrix<std::int64_t>(n, n);
-      gb::Matrix<std::int64_t> ones(n, n);
-      gb::apply(ones, gb::no_mask, gb::no_accum, gb::One{}, a0);
-      gb::select(c, gb::no_mask, gb::no_accum, gb::SelOffdiag{}, ones,
-                 std::int64_t{0});
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-
-  auto capture = [&] {
-    capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-      cp.set_algorithm("ktruss");
-      cp.put_matrix("c", c);
-      cp.put_i64("rounds", res.rounds);
-    });
-  };
-
-  const auto support_needed = static_cast<std::int64_t>(k) - 2;
-  gb::Index last_nvals = c.nvals();
-  for (;;) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture();
-      res.nedges = c.nvals() / 2;
-      res.c = std::move(c);
-      return res;
-    }
-    bool fixed = false;
-    StopReason why = scope.step([&] {
-      // Support of every surviving edge: S<C> = C*C (plus_pair, structural
-      // mask).
-      gb::Matrix<std::int64_t> s(n, n);
-      gb::mxm(s, c, gb::no_accum, gb::plus_pair<std::int64_t>(), c, c,
-              gb::desc_s);
-      // Keep edges with support >= k-2. A trip during the select leaves c
-      // at its pre-round state (per-op transactionality), so the round
-      // boundary stays consistent for capture().
-      gb::select(c, gb::no_mask, gb::no_accum, gb::SelValueGe{}, s,
-                 support_needed);
-      fixed = c.nvals() == last_nvals;
-      last_nvals = c.nvals();
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture();
-      res.nedges = c.nvals() / 2;
-      res.c = std::move(c);
-      return res;
-    }
-    ++res.rounds;
-    if (fixed) break;
-  }
-  res.stop = StopReason::converged;
+  gb::Matrix<std::int64_t> c;  // surviving edges
+  gb::Index last_nvals = 0;
+  bool fixed = false;
+  drive(
+      res, "ktruss", resume,
+      [&](const Checkpoint* from) {
+        if (from != nullptr) {
+          c = from->get_matrix<std::int64_t>("c");
+          gb::check_value(c.nrows() == n,
+                          "ktruss: resume capsule does not match this graph");
+          res.rounds = static_cast<int>(from->get_i64("rounds"));
+        } else {
+          // C starts as the off-diagonal pattern of the undirected view.
+          c = gb::Matrix<std::int64_t>(n, n);
+          gb::Matrix<std::int64_t> ones(n, n);
+          gb::apply(ones, gb::no_mask, gb::no_accum, gb::One{},
+                    g.undirected_view());
+          gb::select(c, gb::no_mask, gb::no_accum, gb::SelOffdiag{}, ones,
+                     std::int64_t{0});
+        }
+        last_nvals = c.nvals();
+      },
+      [&] { return !fixed; },
+      [&] {
+        // Support of every surviving edge: S<C> = C*C (plus_pair, structural
+        // mask).
+        gb::Matrix<std::int64_t> s(n, n);
+        gb::mxm(s, c, gb::no_accum, gb::plus_pair<std::int64_t>(), c, c,
+                gb::desc_s);
+        // Keep edges with support >= k-2. A trip during the select leaves c
+        // at its pre-round state (per-op transactionality), so the round
+        // boundary stays consistent for the capsule.
+        gb::select(c, gb::no_mask, gb::no_accum, gb::SelValueGe{}, s,
+                   support_needed);
+        fixed = c.nvals() == last_nvals;
+        last_nvals = c.nvals();
+        ++res.rounds;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_matrix("c", c);
+        cp.put_i64("rounds", res.rounds);
+      });
   res.nedges = c.nvals() / 2;
   res.c = std::move(c);
   return res;

@@ -14,121 +14,94 @@ MatchingResult maximal_matching_run(const Graph& g, std::uint64_t /*seed*/,
   const Index n = g.nrows();
 
   MatchingResult res;
-  Scope scope;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "maximal_matching");
-    res.checkpoint = *resume;
-  }
-
   gb::Matrix<double> a;
-  gb::Vector<std::uint64_t> mate;
+  gb::Vector<std::uint64_t> mate;  // mate(i) = i means unmatched
   gb::Vector<bool> candidates;
-  StopReason setup = scope.step([&] {
-    a = gb::Matrix<double>(n, n);
-    gb::select(a, gb::no_mask, gb::no_accum, gb::SelOffdiag{},
-               g.undirected_view(), std::int64_t{0});
-    if (resume != nullptr && !resume->empty()) {
-      mate = resume->get_vector<std::uint64_t>("mate");
-      gb::check_value(mate.size() == n,
-                      "maximal_matching: resume capsule does not match this "
-                      "graph");
-      candidates = resume->get_vector<bool>("candidates");
-      res.rounds = static_cast<int>(resume->get_i64("rounds"));
-    } else {
-      // mate(i) = i means unmatched.
-      mate = gb::Vector<std::uint64_t>(n);
-      std::vector<Index> idx(n);
-      std::vector<std::uint64_t> val(n);
-      for (Index i = 0; i < n; ++i) {
-        idx[i] = i;
-        val[i] = i;
-      }
-      mate.build(idx, val, gb::Second{});
-      candidates = gb::Vector<bool>::full(n, true);
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-
-  auto capture = [&] {
-    capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-      cp.set_algorithm("maximal_matching");
-      cp.put_vector("mate", mate);
-      cp.put_vector("candidates", candidates);
-      cp.put_i64("rounds", res.rounds);
-    });
-  };
-
-  while (candidates.nvals() > 0) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture();
-      res.mate = std::move(mate);
-      return res;
-    }
-    bool exhausted = false;
-    StopReason why = scope.step([&] {
-      // Candidates commit only at the bottom: a mid-step rerun proposes to
-      // the same neighbours, and the mate updates are idempotent.
-
-      // ids(i) = i on the candidates.
-      gb::Vector<std::uint64_t> ids(n);
-      gb::apply_indexop(ids, gb::no_mask, gb::no_accum, gb::RowIndex{},
-                        candidates, std::int64_t{0});
-
-      // pick(i) = min candidate neighbour id.
-      gb::Vector<std::uint64_t> pick(n);
-      gb::mxv(pick, candidates, gb::no_accum, gb::min_second<std::uint64_t>(),
-              a, ids, gb::desc_s);
-
-      if (pick.nvals() == 0) {
-        exhausted = true;  // no candidate has a candidate neighbour
-        return;
-      }
-
-      // Mutuality: pick2(i) = pick(pick(i)); matched iff pick2(i) == i.
-      std::vector<Index> pi;
-      std::vector<std::uint64_t> pv;
-      pick.extract_tuples(pi, pv);
-      std::vector<Index> list(pv.begin(), pv.end());
-      gb::Vector<std::uint64_t> pick_at(list.size());
-      gb::extract(pick_at, gb::no_mask, gb::no_accum, pick,
-                  gb::IndexSel(list));
-
-      gb::Vector<bool> matched(n);
-      for (std::size_t k = 0; k < pi.size(); ++k) {
-        auto back = pick_at.extract_element(k);
-        if (back && *back == pi[k]) {
-          mate.set_element(pi[k], pv[k]);
-          matched.set_element(pi[k], true);
+  bool exhausted = false;
+  drive(
+      res, "maximal_matching", resume,
+      [&](const Checkpoint* from) {
+        a = gb::Matrix<double>(n, n);
+        gb::select(a, gb::no_mask, gb::no_accum, gb::SelOffdiag{},
+                   g.undirected_view(), std::int64_t{0});
+        if (from != nullptr) {
+          mate = from->get_vector<std::uint64_t>("mate");
+          gb::check_value(mate.size() == n,
+                          "maximal_matching: resume capsule does not match "
+                          "this graph");
+          candidates = from->get_vector<bool>("candidates");
+          res.rounds = static_cast<int>(from->get_i64("rounds"));
+        } else {
+          mate = gb::Vector<std::uint64_t>(n);
+          std::vector<Index> idx(n);
+          std::vector<std::uint64_t> val(n);
+          for (Index i = 0; i < n; ++i) {
+            idx[i] = i;
+            val[i] = i;
+          }
+          mate.build(idx, val, gb::Second{});
+          candidates = gb::Vector<bool>::full(n, true);
         }
-      }
+      },
+      [&] { return !exhausted && candidates.nvals() > 0; },
+      [&] {
+        // Candidates commit only at the bottom: a mid-step rerun proposes to
+        // the same neighbours, and the mate updates are idempotent.
 
-      // Drop matched vertices and candidates with no live neighbour.
-      gb::Vector<bool> dead(n);
-      gb::apply(dead, pick, gb::no_accum, gb::One{}, candidates, gb::desc_sc);
-      gb::Vector<bool> removed(n);
-      gb::ewise_add(removed, gb::no_mask, gb::no_accum, gb::Lor{}, matched,
-                    dead);
-      gb::Vector<bool> next(n);
-      gb::apply(next, removed, gb::no_accum, gb::Identity{}, candidates,
-                gb::desc_rsc);
+        // ids(i) = i on the candidates.
+        gb::Vector<std::uint64_t> ids(n);
+        gb::apply_indexop(ids, gb::no_mask, gb::no_accum, gb::RowIndex{},
+                          candidates, std::int64_t{0});
 
-      // Commit: nothing below reaches a governor poll point.
-      candidates = std::move(next);
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture();
-      res.mate = std::move(mate);
-      return res;
-    }
-    ++res.rounds;
-    if (exhausted) break;
-  }
-  res.stop = StopReason::converged;
+        // pick(i) = min candidate neighbour id.
+        gb::Vector<std::uint64_t> pick(n);
+        gb::mxv(pick, candidates, gb::no_accum,
+                gb::min_second<std::uint64_t>(), a, ids, gb::desc_s);
+
+        if (pick.nvals() == 0) {
+          exhausted = true;  // no candidate has a candidate neighbour
+          ++res.rounds;
+          return;
+        }
+
+        // Mutuality: pick2(i) = pick(pick(i)); matched iff pick2(i) == i.
+        std::vector<Index> pi;
+        std::vector<std::uint64_t> pv;
+        pick.extract_tuples(pi, pv);
+        std::vector<Index> list(pv.begin(), pv.end());
+        gb::Vector<std::uint64_t> pick_at(list.size());
+        gb::extract(pick_at, gb::no_mask, gb::no_accum, pick,
+                    gb::IndexSel(list));
+
+        gb::Vector<bool> matched(n);
+        for (std::size_t k = 0; k < pi.size(); ++k) {
+          auto back = pick_at.extract_element(k);
+          if (back && *back == pi[k]) {
+            mate.set_element(pi[k], pv[k]);
+            matched.set_element(pi[k], true);
+          }
+        }
+
+        // Drop matched vertices and candidates with no live neighbour.
+        gb::Vector<bool> dead(n);
+        gb::apply(dead, pick, gb::no_accum, gb::One{}, candidates,
+                  gb::desc_sc);
+        gb::Vector<bool> removed(n);
+        gb::ewise_add(removed, gb::no_mask, gb::no_accum, gb::Lor{}, matched,
+                      dead);
+        gb::Vector<bool> next(n);
+        gb::apply(next, removed, gb::no_accum, gb::Identity{}, candidates,
+                  gb::desc_rsc);
+
+        // Commit: nothing below reaches a governor poll point.
+        candidates = std::move(next);
+        ++res.rounds;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("mate", mate);
+        cp.put_vector("candidates", candidates);
+        cp.put_i64("rounds", res.rounds);
+      });
   res.mate = std::move(mate);
   return res;
 }

@@ -31,10 +31,6 @@ struct PowOp {
   double operator()(double x) const { return std::pow(x, r); }
 };
 
-}  // namespace
-
-namespace {
-
 /// Attractors: label of column j = row index of its maximum entry.
 gb::Vector<std::uint64_t> attractor_labels(const gb::Matrix<double>& m,
                                            Index n) {
@@ -66,19 +62,6 @@ double l1_distance(const gb::Matrix<double>& a, const gb::Matrix<double>& b) {
 
 }  // namespace
 
-namespace {
-
-void capture_mcl(ClusterResult& res, const gb::Matrix<double>& m, int done) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("mcl");
-    cp.put_matrix("m", m);
-    cp.put_i64("iterations", done);
-    cp.put_f64("residual", res.residual);
-  });
-}
-
-}  // namespace
-
 ClusterResult mcl(const Graph& g, double inflation, int max_iters,
                   double prune, const Checkpoint* resume) {
   check_graph(g, "mcl");
@@ -90,92 +73,77 @@ ClusterResult mcl(const Graph& g, double inflation, int max_iters,
   const Index n = g.nrows();
 
   ClusterResult res;
-  res.stop = StopReason::max_iters;
-  Scope scope;
+  gb::Matrix<double> m;  // the column-stochastic iterate
+  bool done = false;
+  drive(
+      res, "mcl", resume,
+      [&](const Checkpoint* from) {
+        if (from != nullptr) {
+          m = from->get_matrix<double>("m");
+          gb::check_value(m.nrows() == n,
+                          "mcl: resume capsule does not match this graph");
+          res.iterations = static_cast<int>(from->get_i64("iterations"));
+          res.residual = from->get_f64("residual");
+        } else {
+          // M = A + I (self-loops are standard MCL practice),
+          // column-stochastic.
+          m = gb::Matrix<double>(n, n);
+          gb::ewise_add(m, gb::no_mask, gb::no_accum, gb::Plus{},
+                        g.undirected_view(),
+                        gb::Matrix<double>::identity(n, 1.0));
+          normalize_columns(m);
+        }
+      },
+      [&] { return !done; },
+      [&] {
+        if (res.iterations >= max_iters) {
+          // Out of iterations: label the iterate as it stands.
+          res.labels = attractor_labels(m, n);
+          done = true;
+          return;
+        }
+        // The whole iteration builds a fresh iterate; m stays intact until
+        // the commit below.
+        gb::Matrix<double> next(n, n);
+        gb::mxm(next, gb::no_mask, gb::no_accum, gb::plus_times<double>(), m,
+                m);
 
-  int done = 0;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "mcl");
-    res.checkpoint = *resume;
-  }
+        // Inflation: M = M .^ r, column-renormalised.
+        gb::apply(next, gb::no_mask, gb::no_accum, PowOp{inflation}, next);
+        normalize_columns(next);
 
-  // M = A + I (self-loops are standard MCL practice), column-stochastic.
-  // Setup runs governed: a trip here returns telemetry with empty labels.
-  gb::Matrix<double> m;
-  StopReason setup = scope.step([&] {
-    if (resume != nullptr && !resume->empty()) {
-      m = resume->get_matrix<double>("m");
-      gb::check_value(m.nrows() == n,
-                      "mcl: resume capsule does not match this graph");
-      done = static_cast<int>(resume->get_i64("iterations"));
-      res.iterations = done;
-      res.residual = resume->get_f64("residual");
-    } else {
-      m = gb::Matrix<double>(n, n);
-      gb::ewise_add(m, gb::no_mask, gb::no_accum, gb::Plus{},
-                    g.undirected_view(),
-                    gb::Matrix<double>::identity(n, 1.0));
-      normalize_columns(m);
-    }
-  });
-  if (setup != StopReason::none) {
-    // Fresh run: nothing worth capturing yet. Resumed run: res.checkpoint
-    // already holds the incoming capsule, so no progress is lost.
-    res.stop = setup;
-    return res;
-  }
-  for (int it = done; it < max_iters; ++it) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture_mcl(res, m, done);
-      break;
-    }
-    double dist = 0.0;
-    bool close = false;
-    StopReason why = scope.step([&] {
-      // The whole iteration builds a fresh iterate; m stays intact until
-      // the commit below, so a mid-step trip leaves the iteration-boundary
-      // state untouched and capture() hands out a consistent capsule.
-      gb::Matrix<double> next(n, n);
-      gb::mxm(next, gb::no_mask, gb::no_accum, gb::plus_times<double>(), m, m);
+        // Prune tiny entries to keep the iterate sparse, then renormalise.
+        gb::Matrix<double> kept(n, n);
+        gb::select(kept, gb::no_mask, gb::no_accum, gb::SelValueGt{}, next,
+                   prune);
+        next = std::move(kept);
+        normalize_columns(next);
 
-      // Inflation: M = M .^ r, column-renormalised.
-      gb::apply(next, gb::no_mask, gb::no_accum, PowOp{inflation}, next);
-      normalize_columns(next);
+        const double dist = l1_distance(m, next);
+        const bool close = isclose(m, next, 1e-9);
+        // A NaN/Inf iterate (e.g. a column that pruned to empty and divided
+        // by zero) stops the run rather than iterating on garbage. Either
+        // way a finishing iteration labels its iterate in the same step, so
+        // the capsule never has to remember that the run has finished.
+        const bool finished = !std::isfinite(dist) || close;
+        if (finished) res.labels = attractor_labels(next, n);
 
-      // Prune tiny entries to keep the iterate sparse, then renormalise.
-      gb::Matrix<double> kept(n, n);
-      gb::select(kept, gb::no_mask, gb::no_accum, gb::SelValueGt{}, next,
-                 prune);
-      next = std::move(kept);
-      normalize_columns(next);
-
-      dist = l1_distance(m, next);
-      close = isclose(m, next, 1e-9);
-      m = std::move(next);  // commit
-    });
-    ++res.iterations;
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture_mcl(res, m, done);
-      break;
-    }
-    ++done;
-    res.residual = dist;
-    if (!std::isfinite(dist)) {
-      // NaN/Inf iterate (e.g. a column that pruned to empty and divided by
-      // zero): stop and say so rather than labelling garbage.
-      res.stop = StopReason::diverged;
-      break;
-    }
-    if (close) {
-      res.converged = true;
-      res.stop = StopReason::converged;
-      break;
-    }
-  }
-
-  res.labels = attractor_labels(m, n);
+        // Commit: nothing below reaches a governor poll point.
+        m = std::move(next);
+        ++res.iterations;
+        res.residual = dist;
+        if (finished) {
+          res.converged = std::isfinite(dist);
+          res.stop = res.converged ? StopReason::converged
+                                   : StopReason::diverged;
+          done = true;
+        }
+      },
+      [&](Checkpoint& cp) {
+        cp.put_matrix("m", m);
+        cp.put_i64("iterations", res.iterations);
+        cp.put_f64("residual", res.residual);
+      });
   return res;
 }
 

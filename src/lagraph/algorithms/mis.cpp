@@ -37,12 +37,6 @@ MisResult mis_run(const Graph& g, std::uint64_t seed,
   const Index n = g.nrows();
 
   MisResult res;
-  Scope scope;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "mis");
-    res.checkpoint = *resume;
-  }
-
   // Self-loops would make a vertex its own neighbour and deadlock the
   // winner rule; strip the diagonal. Derived from the graph, so rebuilt on
   // resume rather than checkpointed.
@@ -50,101 +44,82 @@ MisResult mis_run(const Graph& g, std::uint64_t seed,
   gb::Vector<bool> iset;
   gb::Vector<bool> candidates;
   std::uint64_t round = 0;
-  StopReason setup = scope.step([&] {
-    a = gb::Matrix<double>(n, n);
-    gb::select(a, gb::no_mask, gb::no_accum, gb::SelOffdiag{},
-               g.undirected_view(), std::int64_t{0});
-    if (resume != nullptr && !resume->empty()) {
-      iset = resume->get_vector<bool>("iset");
-      gb::check_value(iset.size() == n,
-                      "mis: resume capsule does not match this graph");
-      candidates = resume->get_vector<bool>("candidates");
-      round = resume->get_u64("round");
-    } else {
-      iset = gb::Vector<bool>(n);
-      candidates = gb::Vector<bool>::full(n, true);
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
+  drive(
+      res, "mis", resume,
+      [&](const Checkpoint* from) {
+        a = gb::Matrix<double>(n, n);
+        gb::select(a, gb::no_mask, gb::no_accum, gb::SelOffdiag{},
+                   g.undirected_view(), std::int64_t{0});
+        if (from != nullptr) {
+          iset = from->get_vector<bool>("iset");
+          gb::check_value(iset.size() == n,
+                          "mis: resume capsule does not match this graph");
+          candidates = from->get_vector<bool>("candidates");
+          round = from->get_u64("round");
+        } else {
+          iset = gb::Vector<bool>(n);
+          candidates = gb::Vector<bool>::full(n, true);
+        }
+      },
+      [&] { return candidates.nvals() > 0; },
+      [&] {
+        // The RNG round is committed only at the bottom, so re-running this
+        // body after a mid-step trip draws the same priorities; the iset
+        // assign is idempotent under the same winners.
+        const std::uint64_t r = round + 1;
+        // Unique priorities on the candidates.
+        gb::Vector<std::uint64_t> prio(n);
+        gb::apply_indexop(prio, gb::no_mask, gb::no_accum,
+                          PriorityOp{splitmix(seed) ^ r, n}, candidates,
+                          std::int64_t{0});
 
-  auto capture = [&] {
-    capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-      cp.set_algorithm("mis");
-      cp.put_vector("iset", iset);
-      cp.put_vector("candidates", candidates);
-      cp.put_u64("round", round);
-    });
-  };
+        // Max candidate-neighbour priority: nmax(i) = max_{j in adj(i)}
+        // prio(j).
+        gb::Vector<std::uint64_t> nmax(n);
+        gb::mxv(nmax, candidates, gb::no_accum,
+                gb::max_second<std::uint64_t>(), a, prio, gb::desc_s);
 
-  while (candidates.nvals() > 0) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      res.rounds = static_cast<int>(round);
-      capture();
-      res.set = std::move(iset);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-    // The RNG round is committed only at the bottom, so re-running this
-    // body after a mid-step trip draws the same priorities; the iset
-    // assign is idempotent under the same winners.
-    const std::uint64_t r = round + 1;
-    // Unique priorities on the candidates.
-    gb::Vector<std::uint64_t> prio(n);
-    gb::apply_indexop(prio, gb::no_mask, gb::no_accum,
-                      PriorityOp{splitmix(seed) ^ r, n}, candidates,
-                      std::int64_t{0});
+        // Winners: candidates whose priority beats every candidate
+        // neighbour...
+        gb::Vector<bool> winners(n);
+        gb::Vector<std::uint64_t> beat(n);
+        gb::ewise_mult(beat, gb::no_mask, gb::no_accum, gb::Isgt{}, prio,
+                       nmax);
+        gb::select(winners, gb::no_mask, gb::no_accum, gb::SelValueNe{}, beat,
+                   std::uint64_t{0});
+        gb::apply(winners, gb::no_mask, gb::no_accum, gb::One{}, winners);
+        // ... plus candidates with no candidate neighbour at all.
+        gb::Vector<bool> lonely(n);
+        gb::apply(lonely, nmax, gb::no_accum, gb::One{}, candidates,
+                  gb::desc_sc);
+        gb::ewise_add(winners, gb::no_mask, gb::no_accum, gb::Lor{}, winners,
+                      lonely);
 
-    // Max candidate-neighbour priority: nmax(i) = max_{j in adj(i)} prio(j).
-    gb::Vector<std::uint64_t> nmax(n);
-    gb::mxv(nmax, candidates, gb::no_accum, gb::max_second<std::uint64_t>(), a,
-            prio, gb::desc_s);
+        // iset |= winners.
+        gb::assign_scalar(iset, winners, gb::no_accum, true,
+                          gb::IndexSel::all(n), gb::desc_s);
 
-    // Winners: candidates whose priority beats every candidate neighbour...
-    gb::Vector<bool> winners(n);
-    gb::Vector<std::uint64_t> beat(n);
-    gb::ewise_mult(beat, gb::no_mask, gb::no_accum, gb::Isgt{}, prio, nmax);
-    gb::select(winners, gb::no_mask, gb::no_accum, gb::SelValueNe{}, beat,
-               std::uint64_t{0});
-    gb::apply(winners, gb::no_mask, gb::no_accum, gb::One{}, winners);
-    // ... plus candidates with no candidate neighbour at all.
-    gb::Vector<bool> lonely(n);
-    gb::apply(lonely, nmax, gb::no_accum, gb::One{}, candidates, gb::desc_sc);
-    gb::ewise_add(winners, gb::no_mask, gb::no_accum, gb::Lor{}, winners,
-                  lonely);
+        // Remove winners and their neighbours from the candidate pool.
+        gb::Vector<bool> neigh(n);
+        gb::mxv(neigh, candidates, gb::no_accum, gb::any_pair<bool>(), a,
+                winners, gb::desc_s);
+        gb::Vector<bool> removed(n);
+        gb::ewise_add(removed, gb::no_mask, gb::no_accum, gb::Lor{}, winners,
+                      neigh);
+        // candidates<removed, s, replace-complement>: keep only non-removed.
+        gb::Vector<bool> next(n);
+        gb::apply(next, removed, gb::no_accum, gb::Identity{}, candidates,
+                  gb::desc_rsc);
 
-    // iset |= winners.
-    gb::assign_scalar(iset, winners, gb::no_accum, true, gb::IndexSel::all(n),
-                      gb::desc_s);
-
-    // Remove winners and their neighbours from the candidate pool.
-    gb::Vector<bool> neigh(n);
-    gb::mxv(neigh, candidates, gb::no_accum, gb::any_pair<bool>(), a, winners,
-            gb::desc_s);
-    gb::Vector<bool> removed(n);
-    gb::ewise_add(removed, gb::no_mask, gb::no_accum, gb::Lor{}, winners,
-                  neigh);
-    // candidates<removed, s, replace-complement>: keep only non-removed.
-    gb::Vector<bool> next(n);
-    gb::apply(next, removed, gb::no_accum, gb::Identity{}, candidates,
-              gb::desc_rsc);
-
-    // Commit: nothing below reaches a governor poll point.
-    candidates = std::move(next);
-    ++round;
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      res.rounds = static_cast<int>(round);
-      capture();
-      res.set = std::move(iset);
-      return res;
-    }
-  }
-  res.stop = StopReason::converged;
+        // Commit: nothing below reaches a governor poll point.
+        candidates = std::move(next);
+        ++round;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("iset", iset);
+        cp.put_vector("candidates", candidates);
+        cp.put_u64("round", round);
+      });
   res.rounds = static_cast<int>(round);
   res.set = std::move(iset);
   return res;

@@ -10,43 +10,6 @@
 
 namespace lagraph {
 
-namespace {
-
-/// Loop state at an iteration boundary: the current rank iterate plus the
-/// counters a resumed run needs to continue the exact iteration sequence.
-void capture(PageRankResult& res) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("pagerank");
-    cp.put_vector("rank", res.rank);
-    cp.put_i64("iterations", res.iterations);
-    cp.put_f64("residual", res.residual);
-  });
-}
-
-/// Batch-loop state at an iteration boundary. Frozen rows ride as one k x n
-/// matrix; the active iterate, its row map, and the per-row counters complete
-/// the state. Sources are stored for validation: a capsule resumes only the
-/// batch it was captured from.
-void capture_ms(PprMsResult& res, const gb::Matrix<double>& frozen,
-                const gb::Matrix<double>& r_act,
-                const std::vector<std::uint64_t>& active,
-                const std::vector<Index>& sources) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("pagerank_personalized_ms");
-    cp.put_matrix("frozen", frozen);
-    cp.put_matrix("active_rank", r_act);
-    cp.put_array("active", active);
-    cp.put_array("iterations", res.iterations);
-    cp.put_array("row_stop", std::vector<std::uint64_t>(res.row_stop.begin(),
-                                                        res.row_stop.end()));
-    cp.put_i64("rounds", res.rounds);
-    cp.put_array("sources",
-                 std::vector<std::uint64_t>(sources.begin(), sources.end()));
-  });
-}
-
-}  // namespace
-
 PageRankResult pagerank(const Graph& g, double damping, double tol,
                         int max_iters, const Checkpoint* resume) {
   check_graph(g, "pagerank");
@@ -61,94 +24,70 @@ PageRankResult pagerank(const Graph& g, double damping, double tol,
   const double teleport = (1.0 - damping) / static_cast<double>(n);
 
   PageRankResult res;
-  Scope scope;
-
-  int start_iter = 0;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "pagerank");
-    // If this resumed run is interrupted again before completing one more
-    // iteration, the best state we can hand back is the incoming capsule.
-    res.checkpoint = *resume;
-  }
-
-  // Setup runs governed too: a trip here returns telemetry, not a raw
-  // platform exception.
+  // Out-degrees as doubles, cached on the graph; vertices with no out-edges
+  // are absent.
   const gb::Vector<double>* outdeg = nullptr;
-  StopReason setup = scope.step([&] {
-    // Out-degrees as doubles, cached on the graph; vertices with no
-    // out-edges are absent.
-    outdeg = &g.out_degree_fp64();
-    if (resume != nullptr && !resume->empty()) {
-      res.rank = resume->get_vector<double>("rank");
-      gb::check_value(res.rank.size() == n,
-                      "pagerank: resume capsule does not match this graph");
-      start_iter = static_cast<int>(resume->get_i64("iterations"));
-      res.residual = resume->get_f64("residual");
-    } else {
-      res.rank = gb::Vector<double>::full(n, 1.0 / static_cast<double>(n));
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-  for (res.iterations = start_iter; res.iterations < max_iters;
-       ++res.iterations) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture(res);
-      return res;
-    }
-    double delta = 0.0;
-    StopReason why = scope.step([&] {
-      // Dangling mass: rank held by vertices with no out-edges, summed in
-      // one pass (apply→reduce fused; no dangling vector committed).
-      double dmass = gb::fused_apply_reduce(gb::plus_monoid<double>(),
-                                            gb::Identity{}, res.rank, *outdeg,
-                                            gb::desc_rsc);
+  bool finished = false;
+  drive(
+      res, "pagerank", resume,
+      [&](const Checkpoint* from) {
+        outdeg = &g.out_degree_fp64();
+        if (from != nullptr) {
+          res.rank = from->get_vector<double>("rank");
+          gb::check_value(res.rank.size() == n,
+                          "pagerank: resume capsule does not match this graph");
+          res.iterations = static_cast<int>(from->get_i64("iterations"));
+          res.residual = from->get_f64("residual");
+        } else {
+          res.rank = gb::Vector<double>::full(n, 1.0 / static_cast<double>(n));
+        }
+      },
+      [&] { return !finished && res.iterations < max_iters; },
+      [&] {
+        // Dangling mass: rank held by vertices with no out-edges, summed in
+        // one pass (apply→reduce fused; no dangling vector committed).
+        double dmass = gb::fused_apply_reduce(gb::plus_monoid<double>(),
+                                              gb::Identity{}, res.rank,
+                                              *outdeg, gb::desc_rsc);
 
-      // w = damping * rank ./ outdeg  (contribution per out-edge), the
-      // divide and the damping scale in one pass.
-      gb::Vector<double> w(n);
-      gb::fused_ewise_mult_apply(w, gb::Div{},
-                                 gb::BindSecond<gb::Times, double>{{}, damping},
-                                 res.rank, *outdeg);
+        // w = damping * rank ./ outdeg  (contribution per out-edge), the
+        // divide and the damping scale in one pass.
+        gb::Vector<double> w(n);
+        gb::fused_ewise_mult_apply(
+            w, gb::Div{}, gb::BindSecond<gb::Times, double>{{}, damping},
+            res.rank, *outdeg);
 
-      // next = teleport + damping * dangling/n everywhere, then += w' * A,
-      // with the L1 change against the previous iterate folded out of the
-      // product's epilogue.
-      // plus_FIRST, not plus_times: PageRank splits rank by out-degree, so
-      // each out-edge carries w(i) regardless of the edge's stored weight
-      // (weighted adjacencies would otherwise diverge).
-      gb::Vector<double> next(n);
-      delta = gb::vxm_fill_accum_residual(
-          next, gb::Plus{}, gb::plus_first<double>(), w, a,
-          teleport + damping * dmass / static_cast<double>(n),
-          gb::plus_monoid<double>(), gb::Abs{}, gb::Minus{}, res.rank);
+        // next = teleport + damping * dangling/n everywhere, then += w' * A,
+        // with the L1 change against the previous iterate folded out of the
+        // product's epilogue.
+        // plus_FIRST, not plus_times: PageRank splits rank by out-degree, so
+        // each out-edge carries w(i) regardless of the edge's stored weight
+        // (weighted adjacencies would otherwise diverge).
+        gb::Vector<double> next(n);
+        const double delta = gb::vxm_fill_accum_residual(
+            next, gb::Plus{}, gb::plus_first<double>(), w, a,
+            teleport + damping * dmass / static_cast<double>(n),
+            gb::plus_monoid<double>(), gb::Abs{}, gb::Minus{}, res.rank);
 
-      res.rank = std::move(next);
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture(res);
-      return res;
-    }
-    res.residual = delta;
-    if (!std::isfinite(delta)) {
-      // A NaN/Inf residual means the iterate escaped — report divergence
-      // honestly instead of spinning until max_iters with garbage ranks.
-      ++res.iterations;
-      res.stop = StopReason::diverged;
-      return res;
-    }
-    if (delta < tol) {
-      ++res.iterations;
-      res.converged = true;
-      res.stop = StopReason::converged;
-      return res;
-    }
-  }
-  res.stop = StopReason::max_iters;
+        res.rank = std::move(next);
+        res.residual = delta;
+        ++res.iterations;
+        if (!std::isfinite(delta)) {
+          // A NaN/Inf residual means the iterate escaped — report divergence
+          // honestly instead of spinning until max_iters with garbage ranks.
+          res.stop = StopReason::diverged;
+          finished = true;
+        } else if (delta < tol) {
+          res.converged = true;
+          res.stop = StopReason::converged;
+          finished = true;
+        }
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("rank", res.rank);
+        cp.put_i64("iterations", res.iterations);
+        cp.put_f64("residual", res.residual);
+      });
   return res;
 }
 
@@ -176,12 +115,6 @@ PprMsResult pagerank_personalized_ms(const Graph& g,
   res.iterations.assign(static_cast<std::size_t>(k), 0);
   res.row_stop.assign(static_cast<std::size_t>(k),
                       static_cast<std::uint8_t>(StopReason::max_iters));
-  Scope scope;
-
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "pagerank_personalized_ms");
-    res.checkpoint = *resume;
-  }
 
   // Loop state. Every per-iteration kernel below is row-local (reads only
   // row r of the iterate to produce row r of the next), and every within-row
@@ -191,180 +124,116 @@ PprMsResult pagerank_personalized_ms(const Graph& g,
   // single-seed semantics. Rows that meet tol are frozen immediately and
   // compacted out of the active iterate; without the freeze, batch siblings
   // still iterating would keep "improving" a converged row past the point
-  // where its solo run returned, changing its bits.
+  // where its solo run returned, changing its bits. Frozen rows ride in the
+  // capsule as one k x n matrix; the source list is stored for validation (a
+  // capsule resumes only the batch it was captured from).
   gb::Matrix<double> r_act;                // active iterate (|active| x n)
   std::vector<std::uint64_t> active;       // original row of each active row
   std::vector<Index> fr, fc;               // frozen tuples (original rows)
   std::vector<double> fv;
-  gb::Vector<double> dang(n);              // 1.0 at vertices with no out-edges
+  gb::Vector<double> dang;                 // 1.0 at vertices with no out-edges
   gb::Matrix<double> dinv;                 // diag(damping / outdeg)
+  bool finished = false;
 
-  const gb::Vector<double>* outdeg = nullptr;
-  StopReason setup = scope.step([&] {
-    outdeg = &g.out_degree_fp64();
-    gb::assign_scalar(dang, *outdeg, gb::no_accum, 1.0, gb::IndexSel::all(n),
-                      gb::desc_sc);
-    {
-      std::vector<Index> di;
-      std::vector<double> dv;
-      outdeg->extract_tuples(di, dv);
-      for (double& v : dv) v = damping / v;
-      dinv = gb::Matrix<double>(n, n);
-      dinv.build(di, di, dv, gb::Second{});
-    }
-    if (resume != nullptr && !resume->empty()) {
-      auto saved = resume->get_array<std::uint64_t>("sources");
-      gb::check_value(saved.size() == sources.size() &&
-                          std::equal(saved.begin(), saved.end(),
-                                     sources.begin()),
-                      "pagerank_personalized_ms: capsule is for another batch");
-      gb::Matrix<double> frozen = resume->get_matrix<double>("frozen");
-      gb::check_value(frozen.nrows() == k && frozen.ncols() == n,
-                      "pagerank_personalized_ms: capsule mismatch");
-      frozen.extract_tuples(fr, fc, fv);
-      r_act = resume->get_matrix<double>("active_rank");
-      active = resume->get_array<std::uint64_t>("active");
-      res.iterations = resume->get_array<std::int64_t>("iterations");
-      auto rs = resume->get_array<std::uint64_t>("row_stop");
-      res.row_stop.assign(rs.begin(), rs.end());
-      res.rounds = static_cast<int>(resume->get_i64("rounds"));
-    } else {
-      active.resize(static_cast<std::size_t>(k));
-      std::vector<Index> rows(static_cast<std::size_t>(k));
-      std::vector<double> ones(static_cast<std::size_t>(k), 1.0);
-      for (Index r = 0; r < k; ++r) {
-        active[static_cast<std::size_t>(r)] = static_cast<std::uint64_t>(r);
-        rows[static_cast<std::size_t>(r)] = r;
-      }
-      // rank0 = e_seed per row: all mass starts on the teleport seed.
-      r_act = gb::Matrix<double>(k, n);
-      r_act.build(rows, sources, ones, gb::Second{});
-    }
-  });
-
-  auto build_frozen = [&]() {
+  auto build_frozen = [&](const std::vector<Index>& r,
+                          const std::vector<Index>& c,
+                          const std::vector<double>& v) {
     gb::Matrix<double> frozen(k, n);
-    if (!fr.empty()) frozen.build(fr, fc, fv, gb::Second{});
+    if (!r.empty()) frozen.build(r, c, v, gb::Second{});
     return frozen;
   };
 
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-
-  bool any_diverged = false;
-  for (auto s : res.row_stop) {
-    if (s == static_cast<std::uint8_t>(StopReason::diverged))
-      any_diverged = true;
-  }
-
-  while (!active.empty() && res.rounds < max_iters) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture_ms(res, build_frozen(), r_act, active, sources);
-      return res;
+  // One round of the batched iteration. Everything lands in locals and is
+  // committed to the loop state only after the last kernel.
+  auto iterate = [&] {
+    const Index ka = static_cast<Index>(active.size());
+    // Dangling mass per row, forced onto the pull (dot) path: each row's
+    // products combine left-to-right in ascending vertex order, no matter
+    // how many rows share the batch.
+    gb::Vector<double> dm(ka);
+    gb::Descriptor dpull;
+    dpull.mxv = gb::MxvMethod::pull;
+    gb::mxv(dm, gb::no_mask, gb::no_accum, gb::plus_times<double>(), r_act,
+            dang, dpull);
+    std::vector<double> dmh(static_cast<std::size_t>(ka), 0.0);
+    {
+      std::vector<Index> di;
+      std::vector<double> dv;
+      dm.extract_tuples(di, dv);
+      for (std::size_t t = 0; t < di.size(); ++t)
+        dmh[static_cast<std::size_t>(di[t])] = dv[t];
     }
-    // Locals the step body fills; committed to the loop state only after the
-    // last kernel, so a mid-step trip leaves the iteration boundary intact.
-    std::vector<std::size_t> frz_local, srv_local;
-    gb::Matrix<double> next;
+    // w = damping * rank ./ outdeg, as rank x diag(damping/outdeg): every
+    // product lands on a distinct output slot, so there is no combination
+    // order at all.
+    gb::Matrix<double> w(ka, n);
+    gb::mxm(w, gb::no_mask, gb::no_accum, gb::plus_times<double>(), r_act,
+            dinv);
+    // p = w +.first A — the batched edge pass (plus_FIRST for the same
+    // reason as the global driver: rank splits by out-degree, edge weights
+    // must not scale it).
+    gb::Matrix<double> p(ka, n);
+    gb::mxm(p, gb::no_mask, gb::no_accum, gb::plus_first<double>(), w, a);
+    // Teleport + dangling mass return to each row's own seed.
+    gb::Matrix<double> next(ka, n);
+    {
+      std::vector<Index> sr(static_cast<std::size_t>(ka));
+      std::vector<Index> sc(static_cast<std::size_t>(ka));
+      std::vector<double> sv(static_cast<std::size_t>(ka));
+      for (Index j = 0; j < ka; ++j) {
+        sr[static_cast<std::size_t>(j)] = j;
+        sc[static_cast<std::size_t>(j)] =
+            sources[static_cast<std::size_t>(active[static_cast<std::size_t>(j)])];
+        sv[static_cast<std::size_t>(j)] =
+            (1.0 - damping) + damping * dmh[static_cast<std::size_t>(j)];
+      }
+      gb::Matrix<double> s(ka, n);
+      s.build(sr, sc, sv, gb::Plus{});
+      gb::ewise_add(next, gb::no_mask, gb::no_accum, gb::Plus{}, p, s);
+    }
+    // Per-row L1 residual: |next - rank| row-reduced left-to-right.
+    gb::Matrix<double> diff(ka, n);
+    gb::ewise_add(diff, gb::no_mask, gb::no_accum, gb::Minus{}, next, r_act);
+    gb::apply(diff, gb::no_mask, gb::no_accum, gb::Abs{}, diff);
+    gb::Vector<double> resid(ka);
+    gb::reduce(resid, gb::no_mask, gb::no_accum, gb::plus_monoid<double>(),
+               diff);
+    std::vector<double> residh(static_cast<std::size_t>(ka), 0.0);
+    {
+      std::vector<Index> ri;
+      std::vector<double> rv;
+      resid.extract_tuples(ri, rv);
+      for (std::size_t t = 0; t < ri.size(); ++t)
+        residh[static_cast<std::size_t>(ri[t])] = rv[t];
+    }
+    std::vector<std::size_t> frz, srv;
+    for (std::size_t j = 0; j < static_cast<std::size_t>(ka); ++j) {
+      const double rj = residh[j];
+      if (!std::isfinite(rj) || rj < tol) {
+        frz.push_back(j);
+      } else {
+        srv.push_back(j);
+      }
+    }
     gb::Matrix<double> r_next;
-    std::vector<double> residh;
-    StopReason why = scope.step([&] {
-      const Index ka = static_cast<Index>(active.size());
-      // Dangling mass per row, forced onto the pull (dot) path: each row's
-      // products combine left-to-right in ascending vertex order, no matter
-      // how many rows share the batch.
-      gb::Vector<double> dm(ka);
-      gb::Descriptor dpull;
-      dpull.mxv = gb::MxvMethod::pull;
-      gb::mxv(dm, gb::no_mask, gb::no_accum, gb::plus_times<double>(), r_act,
-              dang, dpull);
-      std::vector<double> dmh(static_cast<std::size_t>(ka), 0.0);
-      {
-        std::vector<Index> di;
-        std::vector<double> dv;
-        dm.extract_tuples(di, dv);
-        for (std::size_t t = 0; t < di.size(); ++t)
-          dmh[static_cast<std::size_t>(di[t])] = dv[t];
-      }
-      // w = damping * rank ./ outdeg, as rank x diag(damping/outdeg):
-      // every product lands on a distinct output slot, so there is no
-      // combination order at all.
-      gb::Matrix<double> w(ka, n);
-      gb::mxm(w, gb::no_mask, gb::no_accum, gb::plus_times<double>(), r_act,
-              dinv);
-      // p = w +.first A — the batched edge pass (plus_FIRST for the same
-      // reason as the global driver: rank splits by out-degree, edge weights
-      // must not scale it).
-      gb::Matrix<double> p(ka, n);
-      gb::mxm(p, gb::no_mask, gb::no_accum, gb::plus_first<double>(), w, a);
-      // Teleport + dangling mass return to each row's own seed.
-      {
-        std::vector<Index> sr(static_cast<std::size_t>(ka));
-        std::vector<Index> sc(static_cast<std::size_t>(ka));
-        std::vector<double> sv(static_cast<std::size_t>(ka));
-        for (Index j = 0; j < ka; ++j) {
-          sr[static_cast<std::size_t>(j)] = j;
-          sc[static_cast<std::size_t>(j)] =
-              sources[static_cast<std::size_t>(active[static_cast<std::size_t>(j)])];
-          sv[static_cast<std::size_t>(j)] =
-              (1.0 - damping) + damping * dmh[static_cast<std::size_t>(j)];
-        }
-        gb::Matrix<double> s(ka, n);
-        s.build(sr, sc, sv, gb::Plus{});
-        next = gb::Matrix<double>(ka, n);
-        gb::ewise_add(next, gb::no_mask, gb::no_accum, gb::Plus{}, p, s);
-      }
-      // Per-row L1 residual: |next - rank| row-reduced left-to-right.
-      gb::Matrix<double> diff(ka, n);
-      gb::ewise_add(diff, gb::no_mask, gb::no_accum, gb::Minus{}, next, r_act);
-      gb::apply(diff, gb::no_mask, gb::no_accum, gb::Abs{}, diff);
-      gb::Vector<double> resid(ka);
-      gb::reduce(resid, gb::no_mask, gb::no_accum, gb::plus_monoid<double>(),
-                 diff);
-      residh.assign(static_cast<std::size_t>(ka), 0.0);
-      {
-        std::vector<Index> ri;
-        std::vector<double> rv;
-        resid.extract_tuples(ri, rv);
-        for (std::size_t t = 0; t < ri.size(); ++t)
-          residh[static_cast<std::size_t>(ri[t])] = rv[t];
-      }
-      for (std::size_t j = 0; j < static_cast<std::size_t>(ka); ++j) {
-        const double rj = residh[j];
-        if (!std::isfinite(rj) || rj < tol) {
-          frz_local.push_back(j);
-        } else {
-          srv_local.push_back(j);
-        }
-      }
-      if (!frz_local.empty() && !srv_local.empty()) {
-        // Compact the survivors so frozen rows stop being computed (and stop
-        // changing). The extract is the last kernel: a trip inside it leaves
-        // the pre-iteration state committed.
-        std::vector<Index> sel(srv_local.begin(), srv_local.end());
-        r_next = gb::Matrix<double>(static_cast<Index>(sel.size()), n);
-        gb::extract(r_next, gb::no_mask, gb::no_accum, next,
-                    gb::IndexSel(std::span<const Index>(sel)),
-                    gb::IndexSel::all(n));
-      }
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture_ms(res, build_frozen(), r_act, active, sources);
-      return res;
+    if (!frz.empty() && !srv.empty()) {
+      // Compact the survivors so frozen rows stop being computed (and stop
+      // changing). The extract is the last kernel.
+      std::vector<Index> sel(srv.begin(), srv.end());
+      r_next = gb::Matrix<double>(static_cast<Index>(sel.size()), n);
+      gb::extract(r_next, gb::no_mask, gb::no_accum, next,
+                  gb::IndexSel(std::span<const Index>(sel)),
+                  gb::IndexSel::all(n));
     }
+    std::vector<Index> mr, mc;
+    std::vector<double> mv;
+    if (!frz.empty()) next.extract_tuples(mr, mc, mv);
 
     // Commit (host-side only — nothing below can trip).
     const int done_iters = res.rounds + 1;
-    if (!frz_local.empty()) {
-      std::vector<Index> mr, mc;
-      std::vector<double> mv;
-      next.extract_tuples(mr, mc, mv);
+    if (!frz.empty()) {
       std::vector<std::uint8_t> freeze_row(active.size(), 0);
-      for (std::size_t j : frz_local) freeze_row[j] = 1;
+      for (std::size_t j : frz) freeze_row[j] = 1;
       for (std::size_t t = 0; t < mr.size(); ++t) {
         const auto j = static_cast<std::size_t>(mr[t]);
         if (!freeze_row[j]) continue;
@@ -372,27 +241,24 @@ PprMsResult pagerank_personalized_ms(const Graph& g,
         fc.push_back(mc[t]);
         fv.push_back(mv[t]);
       }
-      for (std::size_t j : frz_local) {
+      for (std::size_t j : frz) {
         const auto row = static_cast<std::size_t>(active[j]);
         res.iterations[row] = done_iters;
-        if (!std::isfinite(residh[j])) {
-          res.row_stop[row] = static_cast<std::uint8_t>(StopReason::diverged);
-          any_diverged = true;
-        } else {
-          res.row_stop[row] = static_cast<std::uint8_t>(StopReason::converged);
-        }
+        res.row_stop[row] = static_cast<std::uint8_t>(
+            std::isfinite(residh[j]) ? StopReason::converged
+                                     : StopReason::diverged);
       }
     }
     std::vector<std::uint64_t> still;
-    still.reserve(srv_local.size());
-    for (std::size_t j : srv_local) {
+    still.reserve(srv.size());
+    for (std::size_t j : srv) {
       const auto row = static_cast<std::size_t>(active[j]);
       res.iterations[row] = done_iters;
       still.push_back(active[j]);
     }
-    if (srv_local.empty()) {
+    if (srv.empty()) {
       active.clear();
-    } else if (frz_local.empty()) {
+    } else if (frz.empty()) {
       r_act = std::move(next);
       active = std::move(still);
     } else {
@@ -400,33 +266,98 @@ PprMsResult pagerank_personalized_ms(const Graph& g,
       active = std::move(still);
     }
     ++res.rounds;
-  }
+  };
 
-  // Rows still active hit the iteration cap: freeze them as they stand.
-  if (!active.empty()) {
-    std::vector<Index> mr, mc;
-    std::vector<double> mv;
-    r_act.extract_tuples(mr, mc, mv);
-    for (std::size_t t = 0; t < mr.size(); ++t) {
-      fr.push_back(static_cast<Index>(active[static_cast<std::size_t>(mr[t])]));
-      fc.push_back(mc[t]);
-      fv.push_back(mv[t]);
+  // The last step: rows still active hit the iteration cap and freeze as
+  // they stand. Built in locals, so a trip here leaves the capsule intact.
+  auto finish = [&] {
+    std::vector<Index> r = fr, c = fc;
+    std::vector<double> v = fv;
+    if (!active.empty()) {
+      std::vector<Index> mr, mc;
+      std::vector<double> mv;
+      r_act.extract_tuples(mr, mc, mv);
+      for (std::size_t t = 0; t < mr.size(); ++t) {
+        r.push_back(static_cast<Index>(active[static_cast<std::size_t>(mr[t])]));
+        c.push_back(mc[t]);
+        v.push_back(mv[t]);
+      }
     }
-    for (std::uint64_t row : active) {
-      res.row_stop[static_cast<std::size_t>(row)] =
-          static_cast<std::uint8_t>(StopReason::max_iters);
+    res.rank = build_frozen(r, c, v);
+    bool any_diverged = false, all_converged = true;
+    for (auto s : res.row_stop) {
+      any_diverged |= s == static_cast<std::uint8_t>(StopReason::diverged);
+      all_converged &= s == static_cast<std::uint8_t>(StopReason::converged);
     }
-  }
+    res.stop = any_diverged    ? StopReason::diverged
+               : all_converged ? StopReason::converged
+                               : StopReason::max_iters;
+    finished = true;
+  };
 
-  res.rank = build_frozen();
-  bool all_converged = true;
-  for (auto s : res.row_stop) {
-    if (s != static_cast<std::uint8_t>(StopReason::converged))
-      all_converged = false;
-  }
-  res.stop = any_diverged ? StopReason::diverged
-             : all_converged ? StopReason::converged
-                             : StopReason::max_iters;
+  drive(
+      res, "pagerank_personalized_ms", resume,
+      [&](const Checkpoint* from) {
+        const gb::Vector<double>& outdeg = g.out_degree_fp64();
+        dang = gb::Vector<double>(n);
+        gb::assign_scalar(dang, outdeg, gb::no_accum, 1.0,
+                          gb::IndexSel::all(n), gb::desc_sc);
+        {
+          std::vector<Index> di;
+          std::vector<double> dv;
+          outdeg.extract_tuples(di, dv);
+          for (double& v : dv) v = damping / v;
+          dinv = gb::Matrix<double>(n, n);
+          dinv.build(di, di, dv, gb::Second{});
+        }
+        if (from != nullptr) {
+          auto saved = from->get_array<std::uint64_t>("sources");
+          gb::check_value(
+              saved.size() == sources.size() &&
+                  std::equal(saved.begin(), saved.end(), sources.begin()),
+              "pagerank_personalized_ms: capsule is for another batch");
+          gb::Matrix<double> frozen = from->get_matrix<double>("frozen");
+          gb::check_value(frozen.nrows() == k && frozen.ncols() == n,
+                          "pagerank_personalized_ms: capsule mismatch");
+          frozen.extract_tuples(fr, fc, fv);
+          r_act = from->get_matrix<double>("active_rank");
+          active = from->get_array<std::uint64_t>("active");
+          res.iterations = from->get_array<std::int64_t>("iterations");
+          auto rs = from->get_array<std::uint64_t>("row_stop");
+          res.row_stop.assign(rs.begin(), rs.end());
+          res.rounds = static_cast<int>(from->get_i64("rounds"));
+        } else {
+          active.resize(static_cast<std::size_t>(k));
+          std::vector<Index> rows(static_cast<std::size_t>(k));
+          std::vector<double> ones(static_cast<std::size_t>(k), 1.0);
+          for (Index r = 0; r < k; ++r) {
+            active[static_cast<std::size_t>(r)] = static_cast<std::uint64_t>(r);
+            rows[static_cast<std::size_t>(r)] = r;
+          }
+          // rank0 = e_seed per row: all mass starts on the teleport seed.
+          r_act = gb::Matrix<double>(k, n);
+          r_act.build(rows, sources, ones, gb::Second{});
+        }
+      },
+      [&] { return !finished; },
+      [&] {
+        if (!active.empty() && res.rounds < max_iters) {
+          iterate();
+        } else {
+          finish();
+        }
+      },
+      [&](Checkpoint& cp) {
+        cp.put_matrix("frozen", build_frozen(fr, fc, fv));
+        cp.put_matrix("active_rank", r_act);
+        cp.put_array("active", active);
+        cp.put_array("iterations", res.iterations);
+        cp.put_array("row_stop", std::vector<std::uint64_t>(
+                                     res.row_stop.begin(), res.row_stop.end()));
+        cp.put_i64("rounds", res.rounds);
+        cp.put_array("sources", std::vector<std::uint64_t>(sources.begin(),
+                                                           sources.end()));
+      });
   return res;
 }
 

@@ -50,119 +50,95 @@ SccResult strongly_connected_components_run(const Graph& g,
   const Index n = a.nrows();
 
   SccResult res;
-  Scope scope;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "strongly_connected_components");
-    res.checkpoint = *resume;
-  }
-
   gb::Vector<std::uint64_t> label;
   // Work list of disjoint active sets still to be decomposed.
   std::vector<gb::Vector<bool>> work;
-  StopReason setup = scope.step([&] {
-    g.ensure_transpose();
-    if (resume != nullptr && !resume->empty()) {
-      label = resume->get_vector<std::uint64_t>("label");
-      gb::check_value(label.size() == n,
-                      "strongly_connected_components: resume capsule does "
-                      "not match this graph");
-      res.pivots = static_cast<int>(resume->get_i64("pivots"));
-      const auto count = resume->get_u64("work_count");
-      for (std::uint64_t w = 0; w < count; ++w) {
-        work.push_back(
-            resume->get_vector<bool>("work" + std::to_string(w)));
-      }
-    } else {
-      label = gb::Vector<std::uint64_t>(n);
-      work.push_back(gb::Vector<bool>::full(n, true));
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-
-  auto capture = [&] {
-    capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-      cp.set_algorithm("strongly_connected_components");
-      cp.put_vector("label", label);
-      cp.put_i64("pivots", res.pivots);
-      cp.put_u64("work_count", work.size());
-      for (std::size_t w = 0; w < work.size(); ++w) {
-        cp.put_vector("work" + std::to_string(w), work[w]);
-      }
-    });
-  };
-
-  while (!work.empty()) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture();
-      res.labels = std::move(label);
-      return res;
-    }
-    if (work.back().nvals() == 0) {
-      work.pop_back();
-      continue;
-    }
-    StopReason why = scope.step([&] {
-      // The active set stays on the work list until the commit below, so a
-      // mid-step trip re-runs this pivot from scratch: same pivot, same
-      // reachable sets, and the label assign is idempotent.
-      const gb::Vector<bool>& active = work.back();
-      const Index pivot = active.indices()[0];
-      auto fw = masked_reachable(a, /*transpose=*/false, pivot, active);
-      auto bw = masked_reachable(a, /*transpose=*/true, pivot, active);
-
-      // SCC = forward ∩ backward (both already ⊆ active ∪ {pivot}; pivot is
-      // in active by construction).
-      gb::Vector<bool> scc(n);
-      gb::ewise_mult(scc, gb::no_mask, gb::no_accum, gb::Land{}, fw, bw);
-      gb::select(scc, gb::no_mask, gb::no_accum, gb::SelValueNe{}, scc, false);
-      gb::assign_scalar(label, scc, gb::no_accum, pivot, gb::IndexSel::all(n),
-                        gb::desc_s);
-
-      // Remainder pieces: active∩fw∖scc, active∩bw∖scc, active∖(fw∪bw).
-      auto piece = [&](const gb::Vector<bool>& base, bool subtract_union) {
-        gb::Vector<bool> p(n);
-        if (subtract_union) {
-          gb::Vector<bool> reach(n);
-          gb::ewise_add(reach, gb::no_mask, gb::no_accum, gb::Lor{}, fw, bw);
-          // p = active where reach has no truthy entry.
-          gb::Vector<bool> rt(n);
-          gb::select(rt, gb::no_mask, gb::no_accum, gb::SelValueNe{}, reach,
-                     false);
-          gb::apply(p, rt, gb::no_accum, gb::Identity{}, active, gb::desc_rsc);
+  drive(
+      res, "strongly_connected_components", resume,
+      [&](const Checkpoint* from) {
+        g.ensure_transpose();
+        if (from != nullptr) {
+          label = from->get_vector<std::uint64_t>("label");
+          gb::check_value(label.size() == n,
+                          "strongly_connected_components: resume capsule "
+                          "does not match this graph");
+          res.pivots = static_cast<int>(from->get_i64("pivots"));
+          const auto count = from->get_u64("work_count");
+          for (std::uint64_t w = 0; w < count; ++w) {
+            work.push_back(from->get_vector<bool>("work" + std::to_string(w)));
+          }
         } else {
-          gb::ewise_mult(p, gb::no_mask, gb::no_accum, gb::Land{}, active,
-                         base);
-          gb::select(p, gb::no_mask, gb::no_accum, gb::SelValueNe{}, p, false);
-          // Remove the settled SCC.
-          gb::Vector<bool> q(n);
-          gb::apply(q, scc, gb::no_accum, gb::Identity{}, p, gb::desc_rsc);
-          p = std::move(q);
+          label = gb::Vector<std::uint64_t>(n);
+          work.push_back(gb::Vector<bool>::full(n, true));
         }
-        return p;
-      };
-      auto p_fw = piece(fw, false);
-      auto p_bw = piece(bw, false);
-      auto p_rest = piece({}, true);
+      },
+      [&] { return !work.empty(); },
+      [&] {
+        if (work.back().nvals() == 0) {
+          work.pop_back();
+          return;
+        }
+        // The active set stays on the work list until the commit below, so
+        // a mid-step trip re-runs this pivot from scratch: same pivot, same
+        // reachable sets, and the label assign is idempotent.
+        const gb::Vector<bool>& active = work.back();
+        const Index pivot = active.indices()[0];
+        auto fw = masked_reachable(a, /*transpose=*/false, pivot, active);
+        auto bw = masked_reachable(a, /*transpose=*/true, pivot, active);
 
-      // Commit: nothing below reaches a governor poll point.
-      work.pop_back();
-      work.push_back(std::move(p_fw));
-      work.push_back(std::move(p_bw));
-      work.push_back(std::move(p_rest));
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture();
-      res.labels = std::move(label);
-      return res;
-    }
-    ++res.pivots;
-  }
-  res.stop = StopReason::converged;
+        // SCC = forward ∩ backward (both already ⊆ active ∪ {pivot}; pivot
+        // is in active by construction).
+        gb::Vector<bool> scc(n);
+        gb::ewise_mult(scc, gb::no_mask, gb::no_accum, gb::Land{}, fw, bw);
+        gb::select(scc, gb::no_mask, gb::no_accum, gb::SelValueNe{}, scc,
+                   false);
+        gb::assign_scalar(label, scc, gb::no_accum, pivot,
+                          gb::IndexSel::all(n), gb::desc_s);
+
+        // Remainder pieces: active∩fw∖scc, active∩bw∖scc, active∖(fw∪bw).
+        auto piece = [&](const gb::Vector<bool>& base, bool subtract_union) {
+          gb::Vector<bool> p(n);
+          if (subtract_union) {
+            gb::Vector<bool> reach(n);
+            gb::ewise_add(reach, gb::no_mask, gb::no_accum, gb::Lor{}, fw,
+                          bw);
+            // p = active where reach has no truthy entry.
+            gb::Vector<bool> rt(n);
+            gb::select(rt, gb::no_mask, gb::no_accum, gb::SelValueNe{}, reach,
+                       false);
+            gb::apply(p, rt, gb::no_accum, gb::Identity{}, active,
+                      gb::desc_rsc);
+          } else {
+            gb::ewise_mult(p, gb::no_mask, gb::no_accum, gb::Land{}, active,
+                           base);
+            gb::select(p, gb::no_mask, gb::no_accum, gb::SelValueNe{}, p,
+                       false);
+            // Remove the settled SCC.
+            gb::Vector<bool> q(n);
+            gb::apply(q, scc, gb::no_accum, gb::Identity{}, p, gb::desc_rsc);
+            p = std::move(q);
+          }
+          return p;
+        };
+        auto p_fw = piece(fw, false);
+        auto p_bw = piece(bw, false);
+        auto p_rest = piece({}, true);
+
+        // Commit: nothing below reaches a governor poll point.
+        work.pop_back();
+        work.push_back(std::move(p_fw));
+        work.push_back(std::move(p_bw));
+        work.push_back(std::move(p_rest));
+        ++res.pivots;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("label", label);
+        cp.put_i64("pivots", res.pivots);
+        cp.put_u64("work_count", work.size());
+        for (std::size_t w = 0; w < work.size(); ++w) {
+          cp.put_vector("work" + std::to_string(w), work[w]);
+        }
+      });
   res.labels = std::move(label);
   return res;
 }

@@ -10,40 +10,6 @@
 
 namespace lagraph {
 
-namespace {
-
-void capture_bf(SsspResult& res, bool changed) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("sssp_bellman_ford");
-    cp.put_vector("dist", res.dist);
-    cp.put_i64("iterations", res.iterations);
-    cp.put_u64("changed", changed ? 1 : 0);
-  });
-}
-
-void capture_bf_ms(SsspMsResult& res, bool changed,
-                   const std::vector<lagraph::Index>& sources) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("sssp_bellman_ford_ms");
-    cp.put_matrix("dist", res.dist);
-    cp.put_i64("iterations", res.iterations);
-    cp.put_u64("changed", changed ? 1 : 0);
-    cp.put_array("sources",
-                 std::vector<std::uint64_t>(sources.begin(), sources.end()));
-  });
-}
-
-void capture_delta(SsspResult& res, const gb::Vector<bool>& settled) {
-  capture_checkpoint(res.checkpoint, [&](Checkpoint& cp) {
-    cp.set_algorithm("sssp_delta_stepping");
-    cp.put_vector("dist", res.dist);
-    cp.put_vector("settled", settled);
-    cp.put_i64("iterations", res.iterations);
-  });
-}
-
-}  // namespace
-
 SsspResult sssp_bellman_ford(const Graph& g, Index source,
                              const Checkpoint* resume) {
   check_graph(g, "sssp_bellman_ford");
@@ -52,54 +18,39 @@ SsspResult sssp_bellman_ford(const Graph& g, Index source,
   gb::check_index(source < n, "sssp: source out of range");
 
   SsspResult res;
-  Scope scope;
-
   bool changed = true;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "sssp_bellman_ford");
-    res.checkpoint = *resume;
-  }
-  StopReason setup = scope.step([&] {
-    if (resume != nullptr && !resume->empty()) {
-      res.dist = resume->get_vector<double>("dist");
-      gb::check_value(res.dist.size() == n,
-                      "sssp: resume capsule does not match this graph");
-      res.iterations = static_cast<int>(resume->get_i64("iterations"));
-      changed = resume->get_u64("changed") != 0;
-    } else {
-      res.dist = gb::Vector<double>(n);
-      res.dist.set_element(source, 0.0);
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-
-  for (Index round = static_cast<Index>(res.iterations); round < n && changed;
-       ++round) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture_bf(res, changed);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      gb::Vector<double> next = res.dist;
-      // next = min(next, dist min.+ A): relax every edge once, with the
-      // did-anything-improve test fused into the write-back (no post-hoc
-      // isequal sweep). The commit (changed + dist) happens after the last
-      // poll point, so a mid-step trip leaves the round boundary intact.
-      changed = gb::vxm_accum_changed(next, gb::Min{}, gb::min_plus<double>(),
-                                      res.dist, a);
-      res.dist = std::move(next);
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture_bf(res, changed);
-      return res;
-    }
-    ++res.iterations;
-  }
+  const StopReason why = drive(
+      res, "sssp_bellman_ford", resume,
+      [&](const Checkpoint* from) {
+        if (from != nullptr) {
+          res.dist = from->get_vector<double>("dist");
+          gb::check_value(res.dist.size() == n,
+                          "sssp: resume capsule does not match this graph");
+          res.iterations = static_cast<int>(from->get_i64("iterations"));
+          changed = from->get_u64("changed") != 0;
+        } else {
+          res.dist = gb::Vector<double>(n);
+          res.dist.set_element(source, 0.0);
+        }
+      },
+      [&] { return static_cast<Index>(res.iterations) < n && changed; },
+      [&] {
+        gb::Vector<double> next = res.dist;
+        // next = min(next, dist min.+ A): relax every edge once, with the
+        // did-anything-improve test fused into the write-back (no post-hoc
+        // isequal sweep). The commit (changed + dist) happens after the last
+        // poll point, so a mid-step trip leaves the round boundary intact.
+        changed = gb::vxm_accum_changed(next, gb::Min{},
+                                        gb::min_plus<double>(), res.dist, a);
+        res.dist = std::move(next);
+        ++res.iterations;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("dist", res.dist);
+        cp.put_i64("iterations", res.iterations);
+        cp.put_u64("changed", changed ? 1 : 0);
+      });
+  if (why != StopReason::none) return res;
   if (changed) {
     // n relaxation rounds still improving => negative cycle.
     gb::Vector<double> next = res.dist;
@@ -109,7 +60,6 @@ SsspResult sssp_bellman_ford(const Graph& g, Index source,
                       "sssp_bellman_ford: negative cycle reachable");
     }
   }
-  res.stop = StopReason::converged;
   return res;
 }
 
@@ -126,66 +76,53 @@ SsspMsResult sssp_bellman_ford_ms(const Graph& g,
   }
 
   SsspMsResult res;
-  Scope scope;
-
   bool changed = true;
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "sssp_bellman_ford_ms");
-    res.checkpoint = *resume;
-  }
-  StopReason setup = scope.step([&] {
-    if (resume != nullptr && !resume->empty()) {
-      auto saved = resume->get_array<std::uint64_t>("sources");
-      gb::check_value(saved.size() == sources.size() &&
-                          std::equal(saved.begin(), saved.end(),
-                                     sources.begin()),
-                      "sssp_ms: resume capsule is for another batch");
-      res.dist = resume->get_matrix<double>("dist");
-      gb::check_value(res.dist.nrows() == k && res.dist.ncols() == n,
-                      "sssp_ms: resume capsule does not match this graph");
-      res.iterations = static_cast<int>(resume->get_i64("iterations"));
-      changed = resume->get_u64("changed") != 0;
-    } else {
-      res.dist = gb::Matrix<double>(k, n);
-      std::vector<Index> rows(sources.size());
-      std::vector<double> zeros(sources.size(), 0.0);
-      for (std::size_t r = 0; r < sources.size(); ++r) {
-        rows[r] = static_cast<Index>(r);
-      }
-      res.dist.build(rows, sources, zeros, gb::Min{});
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
-
   // One min-plus mxm relaxes every row per round; the Min accumulator merges
   // the relaxed values into the carried distances, exactly as the vector
   // driver's vxm-accum does per source. Rows are independent (row r of
   // D min.+ A reads only row r of D), so a row that has settled is left
   // bit-for-bit untouched by the extra rounds its batch siblings need.
-  for (Index round = static_cast<Index>(res.iterations); round < n && changed;
-       ++round) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture_bf_ms(res, changed, sources);
-      return res;
-    }
-    StopReason why = scope.step([&] {
-      gb::Matrix<double> next = res.dist;
-      gb::mxm(next, gb::no_mask, gb::Min{}, gb::min_plus<double>(), res.dist,
-              a);
-      changed = !isequal(next, res.dist);
-      res.dist = std::move(next);
-    });
-    if (why != StopReason::none) {
-      res.stop = why;
-      capture_bf_ms(res, changed, sources);
-      return res;
-    }
-    ++res.iterations;
-  }
+  const StopReason why = drive(
+      res, "sssp_bellman_ford_ms", resume,
+      [&](const Checkpoint* from) {
+        if (from != nullptr) {
+          auto saved = from->get_array<std::uint64_t>("sources");
+          gb::check_value(saved.size() == sources.size() &&
+                              std::equal(saved.begin(), saved.end(),
+                                         sources.begin()),
+                          "sssp_ms: resume capsule is for another batch");
+          res.dist = from->get_matrix<double>("dist");
+          gb::check_value(res.dist.nrows() == k && res.dist.ncols() == n,
+                          "sssp_ms: resume capsule does not match this graph");
+          res.iterations = static_cast<int>(from->get_i64("iterations"));
+          changed = from->get_u64("changed") != 0;
+        } else {
+          res.dist = gb::Matrix<double>(k, n);
+          std::vector<Index> rows(sources.size());
+          std::vector<double> zeros(sources.size(), 0.0);
+          for (std::size_t r = 0; r < sources.size(); ++r) {
+            rows[r] = static_cast<Index>(r);
+          }
+          res.dist.build(rows, sources, zeros, gb::Min{});
+        }
+      },
+      [&] { return static_cast<Index>(res.iterations) < n && changed; },
+      [&] {
+        gb::Matrix<double> next = res.dist;
+        gb::mxm(next, gb::no_mask, gb::Min{}, gb::min_plus<double>(),
+                res.dist, a);
+        changed = !isequal(next, res.dist);
+        res.dist = std::move(next);
+        ++res.iterations;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_matrix("dist", res.dist);
+        cp.put_i64("iterations", res.iterations);
+        cp.put_u64("changed", changed ? 1 : 0);
+        cp.put_array("sources", std::vector<std::uint64_t>(sources.begin(),
+                                                           sources.end()));
+      });
+  if (why != StopReason::none) return res;
   if (changed) {
     // n rounds and still improving => a negative cycle is reachable from at
     // least one batched source.
@@ -196,7 +133,6 @@ SsspMsResult sssp_bellman_ford_ms(const Graph& g,
                       "sssp_bellman_ford_ms: negative cycle reachable");
     }
   }
-  res.stop = StopReason::converged;
   return res;
 }
 
@@ -209,113 +145,94 @@ SsspResult sssp_delta_stepping(const Graph& g, Index source, double delta,
   gb::check_value(delta > 0.0, "sssp: delta must be positive");
 
   SsspResult res;
-  Scope scope;
-
-  if (resume != nullptr && !resume->empty()) {
-    check_resume(*resume, "sssp_delta_stepping");
-    res.checkpoint = *resume;
-  }
-
-  // Split edges into light (w <= delta) and heavy (w > delta). Setup runs
-  // governed: a trip here returns telemetry, not a raw platform exception.
+  // Light (w <= delta) and heavy (w > delta) edges are graph-derived, so they
+  // are rebuilt on resume; settled(v) is present once v's bucket has been
+  // fully processed.
   gb::Matrix<double> light, heavy;
   gb::Vector<double>& dist = res.dist;
   gb::Vector<bool> settled;
-  StopReason setup = scope.step([&] {
-    light = gb::Matrix<double>(n, n);
-    heavy = gb::Matrix<double>(n, n);
-    gb::select(light, gb::no_mask, gb::no_accum, gb::SelValueLe{}, a, delta);
-    gb::select(heavy, gb::no_mask, gb::no_accum, gb::SelValueGt{}, a, delta);
-    if (resume != nullptr && !resume->empty()) {
-      dist = resume->get_vector<double>("dist");
-      gb::check_value(dist.size() == n,
-                      "sssp: resume capsule does not match this graph");
-      settled = resume->get_vector<bool>("settled");
-      res.iterations = static_cast<int>(resume->get_i64("iterations"));
-    } else {
-      dist = gb::Vector<double>(n);
-      dist.set_element(source, 0.0);
-      // settled(v) present once v's bucket has been fully processed.
-      settled = gb::Vector<bool>(n);
-    }
-  });
-  if (setup != StopReason::none) {
-    res.stop = setup;
-    return res;
-  }
+  bool done = false;
+  drive(
+      res, "sssp_delta_stepping", resume,
+      [&](const Checkpoint* from) {
+        light = gb::Matrix<double>(n, n);
+        heavy = gb::Matrix<double>(n, n);
+        gb::select(light, gb::no_mask, gb::no_accum, gb::SelValueLe{}, a,
+                   delta);
+        gb::select(heavy, gb::no_mask, gb::no_accum, gb::SelValueGt{}, a,
+                   delta);
+        if (from != nullptr) {
+          dist = from->get_vector<double>("dist");
+          gb::check_value(dist.size() == n,
+                          "sssp: resume capsule does not match this graph");
+          settled = from->get_vector<bool>("settled");
+          res.iterations = static_cast<int>(from->get_i64("iterations"));
+        } else {
+          dist = gb::Vector<double>(n);
+          dist.set_element(source, 0.0);
+          settled = gb::Vector<bool>(n);
+        }
+      },
+      [&] { return !done; },
+      [&] {
+        // Minimum tentative distance among unsettled vertices, in one fused
+        // pass over dist (complement(settled), structural); +inf if none.
+        const double frontier_lo = gb::fused_apply_reduce(
+            gb::min_monoid<double>(), gb::Identity{}, dist, settled,
+            gb::desc_rsc);
+        if (!std::isfinite(frontier_lo)) {
+          done = true;
+          return;
+        }
+        const Index b = static_cast<Index>(frontier_lo / delta);
+        const double lo = static_cast<double>(b) * delta;
+        const double hi = lo + delta;
 
-  auto min_unsettled = [&]() -> double {
-    // Minimum tentative distance among unsettled vertices, in one fused
-    // pass over dist (complement(settled), structural); +inf if none.
-    return gb::fused_apply_reduce(gb::min_monoid<double>(), gb::Identity{},
-                                  dist, settled, gb::desc_rsc);
-  };
+        // Light-edge relaxation loop within the bucket. Mid-bucket state is
+        // still a valid resume point: in-place min-plus relaxation is
+        // monotone, so re-entering the bucket loop from (dist, settled)
+        // reaches the same fixpoint as the uninterrupted run.
+        for (;;) {
+          // active = unsettled vertices with dist in [lo, hi)
+          gb::Vector<double> active(n);
+          gb::apply(active, settled, gb::no_accum, gb::Identity{}, dist,
+                    gb::desc_rsc);
+          gb::select(active, gb::no_mask, gb::no_accum, gb::SelValueGe{},
+                     active, lo);
+          gb::select(active, gb::no_mask, gb::no_accum, gb::SelValueLt{},
+                     active, hi);
+          if (active.nvals() == 0) break;
 
-  while (true) {
-    if (StopReason why = scope.interrupted(); why != StopReason::none) {
-      res.stop = why;
-      capture_delta(res, settled);
-      return res;
-    }
-    bool done = false;
-    StopReason why = scope.step([&] {
-      const double frontier_lo = min_unsettled();
-      if (!std::isfinite(frontier_lo)) {
-        done = true;
-        return;
-      }
-      const Index b = static_cast<Index>(frontier_lo / delta);
-      const double lo = static_cast<double>(b) * delta;
-      const double hi = lo + delta;
+          gb::Vector<double> before = dist;
+          gb::vxm(dist, gb::no_mask, gb::Min{}, gb::min_plus<double>(),
+                  active, light);
+          if (isequal(before, dist)) break;
+        }
 
-      // Light-edge relaxation loop within the bucket.
-      for (;;) {
-        // active = unsettled vertices with dist in [lo, hi)
-        gb::Vector<double> active(n);
-        gb::apply(active, settled, gb::no_accum, gb::Identity{}, dist,
+        // The bucket is done; relax heavy edges out of it once, and only
+        // then mark it settled. Heavy relaxation targets land at dist >= hi,
+        // so redoing it after a mid-step trip is idempotent — whereas
+        // settling first could lose the heavy pass entirely on resume.
+        gb::Vector<double> bucket(n);
+        gb::apply(bucket, settled, gb::no_accum, gb::Identity{}, dist,
                   gb::desc_rsc);
-        gb::select(active, gb::no_mask, gb::no_accum, gb::SelValueGe{}, active,
-                   lo);
-        gb::select(active, gb::no_mask, gb::no_accum, gb::SelValueLt{}, active,
-                   hi);
-        if (active.nvals() == 0) break;
-
-        gb::Vector<double> before = dist;
-        gb::vxm(dist, gb::no_mask, gb::Min{}, gb::min_plus<double>(), active,
-                light);
-        if (isequal(before, dist)) break;
-      }
-
-      // The bucket is done; relax heavy edges out of it once, and only then
-      // mark it settled. Heavy relaxation targets land at dist >= hi, so
-      // redoing it after a mid-step trip is idempotent — whereas settling
-      // first could lose the heavy pass entirely on resume.
-      gb::Vector<double> bucket(n);
-      gb::apply(bucket, settled, gb::no_accum, gb::Identity{}, dist,
-                gb::desc_rsc);
-      gb::select(bucket, gb::no_mask, gb::no_accum, gb::SelValueGe{}, bucket,
-                 lo);
-      gb::select(bucket, gb::no_mask, gb::no_accum, gb::SelValueLt{}, bucket,
-                 hi);
-      if (bucket.nvals() > 0) {
-        gb::vxm(dist, gb::no_mask, gb::Min{}, gb::min_plus<double>(), bucket,
-                heavy);
-      }
-      gb::assign_scalar(settled, bucket, gb::no_accum, true,
-                        gb::IndexSel::all(n), gb::desc_s);
-    });
-    if (why != StopReason::none) {
-      // Mid-bucket state is still a valid resume point: in-place min-plus
-      // relaxation is monotone, so re-entering the bucket loop from
-      // (dist, settled) reaches the same fixpoint as the uninterrupted run.
-      res.stop = why;
-      capture_delta(res, settled);
-      return res;
-    }
-    if (done) break;
-    ++res.iterations;
-  }
-  res.stop = StopReason::converged;
+        gb::select(bucket, gb::no_mask, gb::no_accum, gb::SelValueGe{},
+                   bucket, lo);
+        gb::select(bucket, gb::no_mask, gb::no_accum, gb::SelValueLt{},
+                   bucket, hi);
+        if (bucket.nvals() > 0) {
+          gb::vxm(dist, gb::no_mask, gb::Min{}, gb::min_plus<double>(),
+                  bucket, heavy);
+        }
+        gb::assign_scalar(settled, bucket, gb::no_accum, true,
+                          gb::IndexSel::all(n), gb::desc_s);
+        ++res.iterations;
+      },
+      [&](Checkpoint& cp) {
+        cp.put_vector("dist", dist);
+        cp.put_vector("settled", settled);
+        cp.put_i64("iterations", res.iterations);
+      });
   return res;
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "lagraph/checkpoint.hpp"
+#include "lagraph/drive.hpp"
 #include "lagraph/graph.hpp"
 #include "lagraph/scope.hpp"
 
@@ -33,7 +34,8 @@ struct BfsResult {
   StopReason stop = StopReason::none;
   /// On interruption: the loop state at the last complete level. Feed it
   /// back through `resume` to continue; the resumed result is bit-identical
-  /// to an uninterrupted run. Empty if capture itself failed.
+  /// to an uninterrupted run. If capture itself fails, the capsule this run
+  /// was resumed from (empty for a fresh run); empty on completion.
   Checkpoint checkpoint;
 };
 
@@ -314,8 +316,10 @@ gb::Vector<std::uint64_t> maximal_matching(const Graph& g,
                                            std::uint64_t seed = 42);
 
 struct ClusterResult {
-  gb::Vector<std::uint64_t> labels;  ///< cluster label per vertex
-  int iterations = 0;
+  /// Cluster label per vertex. MCL labels its final iterate inside a governed
+  /// step, so an interrupted MCL run carries no labels.
+  gb::Vector<std::uint64_t> labels;
+  int iterations = 0;  ///< completed iterations
   bool converged = false;  ///< iterate stabilised before max_iters
   /// MCL: L1 distance between successive iterates; peer-pressure: number of
   /// vertices that changed label in the last round.

@@ -44,13 +44,12 @@ enum class StopReason {
          r == StopReason::out_of_memory;
 }
 
-/// Captures the thread's governor (if any) at driver entry. Drivers call
-/// interrupted() between iterations and wrap each iteration body in step().
+/// Captures the thread's governor (if any) at driver entry. drive() calls
+/// interrupted() between iterations and wraps setup and each iteration body
+/// in step().
 class Scope {
  public:
   Scope() noexcept : gov_(gb::platform::Governor::current()) {}
-
-  [[nodiscard]] bool governed() const noexcept { return gov_ != nullptr; }
 
   /// Non-throwing between-iterations check: the trip is reported, not
   /// consumed, so a driver can stop cleanly and still return telemetry.

@@ -11,6 +11,7 @@
 #include "lagraph/util/check.hpp"
 #include "lagraph/util/generator.hpp"
 #include "reference/simple_graph.hpp"
+#include "test_common.hpp"
 
 TEST(CApi, LifetimeAndElements) {
   GrB_Matrix a = nullptr;
@@ -148,6 +149,49 @@ TEST(CApi, MxmMaskOfWrongShapeIsDimensionMismatch) {
   GrB_Matrix_free(&c);
   GrB_Matrix_free(&wide);
   GrB_Matrix_free(&tall);
+}
+
+TEST(CApi, VectorMaskOfWrongSizeIsDimensionMismatch) {
+  // mxv and vxm with a mask larger than the output (stored indices past its
+  // end) and one smaller (full, so it is read densely): both are rejected
+  // before the output is touched.
+  GrB_Matrix a = nullptr;
+  GrB_Vector u = nullptr, w = nullptr, big = nullptr, small = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, 4, 4), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_new(&u, 4), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_new(&w, 4), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_new(&big, 64), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_new(&small, 2), GrB_SUCCESS);
+  for (GrB_Index k = 0; k < 4; ++k) {
+    ASSERT_EQ(GrB_Matrix_setElement_FP64(a, 1.0, k, (k + 1) % 4), GrB_SUCCESS);
+    ASSERT_EQ(GrB_Vector_setElement_FP64(u, 1.0, k), GrB_SUCCESS);
+    ASSERT_EQ(GrB_Vector_setElement_FP64(big, 1.0, 60 + k), GrB_SUCCESS);
+  }
+  for (GrB_Index k = 0; k < 2; ++k) {
+    ASSERT_EQ(GrB_Vector_setElement_FP64(small, 1.0, k), GrB_SUCCESS);
+  }
+  ASSERT_EQ(GrB_Vector_setElement_FP64(w, 7.0, 2), GrB_SUCCESS);
+  const auto before = testutil::snapshot(w);
+  GrB_Descriptor comp = nullptr;
+  ASSERT_EQ(GrB_Descriptor_new(&comp), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Descriptor_set(comp, GrB_MASK, GrB_COMP), GrB_SUCCESS);
+  for (GrB_Vector mask : {big, small}) {
+    for (GrB_Descriptor d : {static_cast<GrB_Descriptor>(nullptr), comp}) {
+      EXPECT_EQ(GrB_mxv(w, mask, GrB_NULL_ACCUM, GrB_PLUS_TIMES_SEMIRING_FP64,
+                        a, u, d),
+                GrB_DIMENSION_MISMATCH);
+      EXPECT_EQ(GrB_vxm(w, mask, GrB_NULL_ACCUM, GrB_PLUS_TIMES_SEMIRING_FP64,
+                        u, a, d),
+                GrB_DIMENSION_MISMATCH);
+    }
+  }
+  EXPECT_EQ(testutil::snapshot(w), before);
+  GrB_Descriptor_free(&comp);
+  GrB_Matrix_free(&a);
+  GrB_Vector_free(&u);
+  GrB_Vector_free(&w);
+  GrB_Vector_free(&big);
+  GrB_Vector_free(&small);
 }
 
 TEST(CApi, DescriptorSettings) {

@@ -158,6 +158,30 @@ TEST(FusedApplyReduce, MinOverEmptySelectionIsIdentity) {
   EXPECT_EQ(fused, std::numeric_limits<double>::infinity());
 }
 
+TEST(FusedApplyReduce, MaskOfWrongSizeIsDimensionMismatch) {
+  // The fused kernel builds the same mask probe as mxv/vxm, so a mask that
+  // does not match u's size is rejected, fused or not.
+  gb::Vector<double> u(64);
+  gb::Vector<double> big(128);
+  gb::Vector<double> small(8);
+  for (Index i = 0; i < 64; ++i) u.set_element(i, 1.0);
+  big.set_element(100, 1.0);
+  for (Index i = 0; i < 8; ++i) small.set_element(i, 1.0);
+  for (bool no_fusion : {false, true}) {
+    gb::Descriptor d = gb::desc_rsc;
+    d.no_fusion = no_fusion;
+    for (const gb::Vector<double>* mask : {&big, &small}) {
+      try {
+        (void)gb::fused_apply_reduce(gb::plus_monoid<double>(), gb::Identity{},
+                                     u, *mask, d);
+        ADD_FAILURE() << "mask of size " << mask->size() << " accepted";
+      } catch (const gb::Error& e) {
+        EXPECT_EQ(e.info(), gb::Info::dimension_mismatch);
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------------------
 // ewise + apply + reduce
 // --------------------------------------------------------------------------

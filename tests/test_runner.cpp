@@ -3,9 +3,12 @@
 //   * Checkpoint — stream/file round-trips, and rejection of corrupt, torn,
 //     truncated, and trailing-garbage capsules (load() validates sizes and
 //     the CRC before unpacking, so a bad file never becomes a bad object);
-//   * resume determinism — an interrupted run resumed from its capsule must
-//     be bit-identical to an uninterrupted run, for every poll ordinal the
-//     trip can land on and at several OpenMP widths;
+//   * resume determinism — for every resumable entry point, an interrupted
+//     run resumed from its capsule must be bit-identical to an
+//     uninterrupted run, for every poll ordinal the trip can land on and at
+//     several OpenMP widths; a second trip keeps a usable capsule, and a
+//     cold Graph never leaks a platform exception (the shared soak in
+//     test_common.hpp);
 //   * Runner — slicing cadence, the degradation ladder, retry-with-backoff
 //     recovery from budget trips, give-up semantics, cancellation, and the
 //     crash-safe checkpoint file (persist on interrupt / resume on start /
@@ -26,12 +29,15 @@
 #include <omp.h>
 #endif
 
+#include "capi/capi_internal.hpp"
+#include "capi/lagraph_c.h"
 #include "graphblas/graphblas.hpp"
 #include "lagraph/checkpoint.hpp"
 #include "lagraph/lagraph.hpp"
 #include "lagraph/runner.hpp"
 #include "lagraph/util/generator.hpp"
 #include "platform/governor.hpp"
+#include "test_common.hpp"
 
 using gb::platform::Governor;
 using gb::platform::GovernorScope;
@@ -181,59 +187,30 @@ TEST(Checkpoint, MissingFileThrowsAndDoesNotCreate) {
 }
 
 // --- Resume determinism ----------------------------------------------------
+//
+// One case per resumable entry point, each through the shared soak in
+// test_common.hpp: every sampled trip resumes to the uninterrupted result, a
+// second trip right after resuming keeps a usable capsule, and a run on a
+// cold Graph never lets a platform exception escape. The inputs are built
+// by a factory so the cold runs see a Graph with no cached properties.
 
 namespace {
 
-// Drives `run` with the trip landing on every sampled poll ordinal. For
-// each interruption: the capsule (if captured) is resumed ungoverned and
-// the final result must equal the uninterrupted baseline exactly — the
-// contract every `*_run` driver documents. Returns once an ordinal
-// survives the whole run untripped.
-template <class Run, class Extract>
-void soak_resume_determinism(const char* name, Run&& run, Extract&& extract) {
-  const auto base = run(nullptr);
-  ASSERT_FALSE(lagraph::is_interruption(base.stop)) << name;
-  const auto want = extract(base);
+using testutil::soak_resume_determinism;
 
-  constexpr std::uint64_t kMaxN = 200000;
-  std::uint64_t stride = 1;
-  for (std::uint64_t n = 0; n < kMaxN; n += stride) {
-    Checkpoint cp;
-    bool interrupted = false;
-    {
-      Governor gov;
-      GovernorScope s(&gov);
-      ScopedTripAfter trip(n, Governor::Trip::cancel);
-      auto part = run(nullptr);
-      interrupted = lagraph::is_interruption(part.stop);
-      if (interrupted) {
-        EXPECT_EQ(part.stop, StopReason::cancelled)
-            << name << " at poll " << n;
-        cp = std::move(part.checkpoint);
-      }
-    }
-    if (!interrupted) return;  // the whole run fits under this ordinal
-    // An empty capsule means capture was impossible (trip during setup):
-    // resuming from scratch is the documented fallback.
-    auto resumed = cp.empty() ? run(nullptr) : run(&cp);
-    ASSERT_FALSE(lagraph::is_interruption(resumed.stop))
-        << name << " resumed run tripped with the governor gone, poll " << n;
-    EXPECT_EQ(extract(resumed), want)
-        << name << ": interrupted at poll " << n
-        << " + resume differs from the uninterrupted run";
-    // Dense early coverage (setup, first iterations), geometric tail.
-    if (n >= 24) stride = 1 + n / 3;
-  }
-  ADD_FAILURE() << name << " never completed under poll trips";
+lagraph::Graph random_graph(gb::Index n, gb::Index m, std::uint64_t seed,
+                            bool symmetric = true) {
+  return lagraph::Graph(lagraph::erdos_renyi(n, m, seed, symmetric),
+                        symmetric ? lagraph::Kind::undirected
+                                  : lagraph::Kind::directed);
 }
 
 }  // namespace
 
 TEST(ResumeDeterminism, Pagerank) {
-  auto g = path(48);
   soak_resume_determinism(
-      "pagerank",
-      [&](const Checkpoint* cp) {
+      "pagerank", [] { return path(48); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
         return lagraph::pagerank(g, 0.85, 1e-12, 80, cp);
       },
       [](const lagraph::PageRankResult& r) {
@@ -242,11 +219,24 @@ TEST(ResumeDeterminism, Pagerank) {
       });
 }
 
-TEST(ResumeDeterminism, BfsPush) {
-  auto g = ring(48);
+TEST(BatchResume, PprMsCheckpointCarriesTheWholeBatch) {
+  const std::vector<gb::Index> sources{0, 8, 15};
   soak_resume_determinism(
-      "bfs",
-      [&](const Checkpoint* cp) {
+      "pagerank_personalized_ms", [] { return path(24); },
+      [&](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::pagerank_personalized_ms(g, sources, 0.85, 1e-9, 60,
+                                                 cp);
+      },
+      [](const lagraph::PprMsResult& r) {
+        return std::make_tuple(tuples(r.rank), r.iterations,
+                               r.row_stop, r.rounds);
+      });
+}
+
+TEST(ResumeDeterminism, BfsPush) {
+  soak_resume_determinism(
+      "bfs push", [] { return ring(48); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
         return lagraph::bfs(g, 3, lagraph::BfsVariant::push, cp);
       },
       [](const lagraph::BfsResult& r) {
@@ -254,11 +244,37 @@ TEST(ResumeDeterminism, BfsPush) {
       });
 }
 
-TEST(ResumeDeterminism, SsspBellmanFord) {
-  auto g = ring(40);
+TEST(ResumeDeterminism, BfsDirectionOptimizing) {
+  // Dense enough that the frontier crosses the push/pull threshold both
+  // ways, so the capsule's direction memory matters.
   soak_resume_determinism(
-      "sssp",
-      [&](const Checkpoint* cp) {
+      "bfs direction_optimizing", [] { return random_graph(96, 480, 5); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::bfs(g, 0, lagraph::BfsVariant::direction_optimizing,
+                            cp);
+      },
+      [](const lagraph::BfsResult& r) {
+        return std::make_tuple(tuples(r.level), tuples(r.parent), r.depth,
+                               r.directions);
+      });
+}
+
+TEST(BatchResume, BfsMsCheckpointCarriesTheWholeBatch) {
+  const std::vector<gb::Index> sources{0, 9, 20};
+  soak_resume_determinism(
+      "bfs_level_ms", [] { return ring(32); },
+      [&](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::bfs_level_ms(g, sources, cp);
+      },
+      [](const lagraph::BfsMsResult& r) {
+        return std::make_pair(tuples(r.level), r.depth);
+      });
+}
+
+TEST(ResumeDeterminism, SsspBellmanFord) {
+  soak_resume_determinism(
+      "sssp", [] { return ring(40); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
         return lagraph::sssp_bellman_ford(g, 0, cp);
       },
       [](const lagraph::SsspResult& r) {
@@ -266,22 +282,166 @@ TEST(ResumeDeterminism, SsspBellmanFord) {
       });
 }
 
+TEST(BatchResume, SsspMsCheckpointCarriesTheWholeBatch) {
+  const std::vector<gb::Index> sources{0, 5, 11};
+  soak_resume_determinism(
+      "sssp_bellman_ford_ms", [] { return ring(24); },
+      [&](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::sssp_bellman_ford_ms(g, sources, cp);
+      },
+      [](const lagraph::SsspMsResult& r) {
+        return std::make_pair(tuples(r.dist), r.iterations);
+      });
+}
+
+TEST(ResumeDeterminism, SsspDeltaStepping) {
+  soak_resume_determinism(
+      "sssp_delta_stepping",
+      [] {
+        return lagraph::Graph(
+            lagraph::randomize_weights(lagraph::erdos_renyi(48, 160, 3), 0.5,
+                                       4.0, 9),
+            lagraph::Kind::directed);
+      },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::sssp_delta_stepping(g, 0, 1.5, cp);
+      },
+      [](const lagraph::SsspResult& r) {
+        return std::make_pair(tuples(r.dist), r.iterations);
+      });
+}
+
+TEST(ResumeDeterminism, Apsp) {
+  soak_resume_determinism(
+      "apsp", [] { return path(17); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::apsp_run(g, cp);
+      },
+      [](const lagraph::ApspResult& r) {
+        return std::make_pair(tuples(r.d), r.rounds);
+      });
+}
+
 TEST(ResumeDeterminism, ConnectedComponents) {
-  lagraph::Graph g(lagraph::erdos_renyi(64, 128, 7), lagraph::Kind::undirected);
   soak_resume_determinism(
       "cc",
-      [&](const Checkpoint* cp) {
+      [] {
+        return lagraph::Graph(lagraph::erdos_renyi(64, 128, 7),
+                              lagraph::Kind::undirected);
+      },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
         return lagraph::connected_components_run(g, cp);
       },
       [](const lagraph::CcResult& r) { return tuples(r.labels); });
 }
 
+TEST(ResumeDeterminism, ConnectedComponentsAsymmetric) {
+  // An asymmetric adjacency makes the driver build the undirected view.
+  soak_resume_determinism(
+      "cc asymmetric", [] { return random_graph(64, 96, 17, false); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::connected_components_run(g, cp);
+      },
+      [](const lagraph::CcResult& r) {
+        return std::make_pair(tuples(r.labels), r.rounds);
+      });
+}
+
+TEST(ResumeDeterminism, StronglyConnectedComponents) {
+  soak_resume_determinism(
+      "scc", [] { return random_graph(40, 90, 23, false); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::strongly_connected_components_run(g, cp);
+      },
+      [](const lagraph::SccResult& r) {
+        return std::make_pair(tuples(r.labels), r.pivots);
+      });
+}
+
+TEST(ResumeDeterminism, Ktruss) {
+  soak_resume_determinism(
+      "ktruss", [] { return random_graph(32, 160, 29, false); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::ktruss_run(g, 4, cp);
+      },
+      [](const lagraph::KtrussResult& r) {
+        return std::make_tuple(tuples(r.c), r.nedges, r.rounds);
+      });
+}
+
+TEST(ResumeDeterminism, Kcore) {
+  soak_resume_determinism(
+      "kcore", [] { return random_graph(48, 160, 31); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::kcore_run(g, cp);
+      },
+      [](const lagraph::KcoreResult& r) {
+        return std::make_pair(tuples(r.coreness), r.k);
+      });
+}
+
+TEST(ResumeDeterminism, Mis) {
+  soak_resume_determinism(
+      "mis", [] { return random_graph(48, 160, 37); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::mis_run(g, 7, cp);
+      },
+      [](const lagraph::MisResult& r) {
+        return std::make_pair(tuples(r.set), r.rounds);
+      });
+}
+
+TEST(ResumeDeterminism, Coloring) {
+  soak_resume_determinism(
+      "coloring", [] { return random_graph(48, 160, 41); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::coloring_run(g, 7, cp);
+      },
+      [](const lagraph::ColoringResult& r) {
+        return std::make_pair(tuples(r.colors), r.rounds);
+      });
+}
+
+TEST(ResumeDeterminism, MaximalMatching) {
+  soak_resume_determinism(
+      "maximal_matching", [] { return random_graph(48, 120, 43); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::maximal_matching_run(g, 7, cp);
+      },
+      [](const lagraph::MatchingResult& r) {
+        return std::make_pair(tuples(r.mate), r.rounds);
+      });
+}
+
+TEST(ResumeDeterminism, Mcl) {
+  soak_resume_determinism(
+      "mcl", [] { return random_graph(24, 60, 47); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::mcl(g, 2.0, 40, 1e-6, cp);
+      },
+      [](const lagraph::ClusterResult& r) {
+        return std::make_tuple(tuples(r.labels), r.iterations, r.residual,
+                               r.converged, r.stop);
+      });
+}
+
+TEST(ResumeDeterminism, PeerPressure) {
+  soak_resume_determinism(
+      "peer_pressure", [] { return random_graph(48, 140, 53); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::peer_pressure(g, 30, cp);
+      },
+      [](const lagraph::ClusterResult& r) {
+        return std::make_tuple(tuples(r.labels), r.iterations, r.residual,
+                               r.converged, r.stop);
+      });
+}
+
 TEST(ResumeDeterminism, Betweenness) {
-  auto g = path(24);
   const std::vector<gb::Index> sources{0, 5, 11};
   soak_resume_determinism(
-      "bc",
-      [&](const Checkpoint* cp) {
+      "bc", [] { return path(24); },
+      [&](const lagraph::Graph& g, const Checkpoint* cp) {
         return lagraph::betweenness_run(g, sources, cp);
       },
       [](const lagraph::BcResult& r) {
@@ -290,10 +450,9 @@ TEST(ResumeDeterminism, Betweenness) {
 }
 
 TEST(ResumeDeterminism, AStar) {
-  auto g = path(32);
   soak_resume_determinism(
-      "astar",
-      [&](const Checkpoint* cp) {
+      "astar", [] { return path(32); },
+      [](const lagraph::Graph& g, const Checkpoint* cp) {
         return lagraph::astar_run(g, 0, 31, gb::Vector<double>(32), cp);
       },
       [](const lagraph::AStarResult& r) {
@@ -310,13 +469,29 @@ TEST(ResumeDeterminism, DnnInference) {
         lagraph::random_matrix(n, n, 60, 100 + static_cast<unsigned>(l)));
   }
   const std::vector<double> biases(6, -0.05);
+  // No graph: each run gets a fresh copy of the input activations.
   soak_resume_determinism(
-      "dnn",
-      [&](const Checkpoint* cp) {
-        return lagraph::dnn_inference_run(y0, weights, biases, 32.0, cp);
+      "dnn", [&] { return y0.dup(); },
+      [&](const gb::Matrix<double>& y, const Checkpoint* cp) {
+        return lagraph::dnn_inference_run(y, weights, biases, 32.0, cp);
       },
       [](const lagraph::DnnResult& r) {
         return std::make_pair(tuples(r.y), r.layers_done);
+      });
+}
+
+TEST(ResumeDeterminism, GcnInference) {
+  const gb::Matrix<double> x = lagraph::random_matrix(24, 6, 60, 8);
+  const std::vector<gb::Matrix<double>> weights{
+      lagraph::random_matrix(6, 8, 30, 9), lagraph::random_matrix(8, 8, 30, 10),
+      lagraph::random_matrix(8, 3, 12, 11)};
+  soak_resume_determinism(
+      "gcn", [] { return random_graph(24, 70, 59, false); },
+      [&](const lagraph::Graph& g, const Checkpoint* cp) {
+        return lagraph::gcn_inference_run(g, x, weights, cp);
+      },
+      [](const lagraph::GcnResult& r) {
+        return std::make_pair(tuples(r.h), r.layers_done);
       });
 }
 
@@ -324,13 +499,12 @@ TEST(ResumeDeterminism, DnnInference) {
 TEST(ResumeDeterminism, StableAcrossThreadCounts) {
   // The capsule must not bake in the parallel schedule: a run interrupted
   // and resumed at 1, 2, and 4 threads lands on the same answer each time.
-  auto g = path(48);
   const int saved = omp_get_max_threads();
   for (int t : {1, 2, 4}) {
     omp_set_num_threads(t);
     soak_resume_determinism(
-        ("pagerank@" + std::to_string(t)).c_str(),
-        [&](const Checkpoint* cp) {
+        "pagerank@" + std::to_string(t), [] { return path(48); },
+        [](const lagraph::Graph& g, const Checkpoint* cp) {
           return lagraph::pagerank(g, 0.85, 1e-10, 60, cp);
         },
         [](const lagraph::PageRankResult& r) {
@@ -416,6 +590,65 @@ TEST(Runner, GivesUpWhenBudgetNeverFits) {
   EXPECT_TRUE(runner.report().gave_up);
   EXPECT_EQ(runner.report().degradations, 3);
   EXPECT_EQ(runner.report().retries, 2);
+}
+
+TEST(Runner, SlicedCcOnColdAsymmetricGraphCompletes) {
+  // Tiny per-slice byte budgets: the first slices trip while the cold Graph
+  // builds its undirected view. Those trips must come back as stops the
+  // Runner climbs its ladder and retries through, never as an escaped
+  // BudgetError, and the stitched labels must equal the ungoverned run.
+  auto make = [] {
+    return lagraph::Graph(lagraph::erdos_renyi(2000, 20000, 61, false),
+                          lagraph::Kind::directed);
+  };
+  const auto base = lagraph::connected_components_run(make());
+  ASSERT_EQ(base.stop, StopReason::converged);
+
+  lagraph::RunnerOptions opts;
+  opts.slice_budget = 4096;
+  opts.retry.max_attempts = 40;
+  opts.retry.backoff_ms = 0.01;
+  opts.retry.budget_growth = 2.0;
+  lagraph::Runner runner(opts);
+  const auto g = make();
+  lagraph::CcResult res;
+  ASSERT_NO_THROW(res = runner.run([&](const Checkpoint* cp) {
+    return lagraph::connected_components_run(g, cp);
+  }));
+  ASSERT_FALSE(lagraph::is_interruption(res.stop));
+  EXPECT_FALSE(runner.report().gave_up);
+  EXPECT_GT(runner.report().slices, 1);
+  EXPECT_EQ(tuples(res.labels), tuples(base.labels));
+}
+
+TEST(Runner, CBindingCcOnColdGraphSurvivesBudgetSlices) {
+  // LAGraph_Runner_cc builds a fresh Graph from its matrix on every call, so
+  // the same early trips land while the undirected view is built. They must
+  // come back through the ladder and retries, not as GrB_OUT_OF_MEMORY.
+  const auto adj = lagraph::erdos_renyi(2000, 20000, 61, false);
+  const auto base = lagraph::connected_components_run(
+      lagraph::Graph(adj.dup(), lagraph::Kind::directed));
+  GrB_Matrix a = nullptr;
+  GrB_Vector labels = nullptr;
+  LAGraph_Runner r = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, 2000, 2000), GrB_SUCCESS);
+  a->m = adj.dup();
+  ASSERT_EQ(GrB_Vector_new(&labels, 2000), GrB_SUCCESS);
+  ASSERT_EQ(LAGraph_Runner_new(&r), GrB_SUCCESS);
+  ASSERT_EQ(LAGraph_Runner_set_slice_budget(r, 4096), GrB_SUCCESS);
+  ASSERT_EQ(LAGraph_Runner_set_retry(r, 40, 0.01, 2.0, 2.0), GrB_SUCCESS);
+  int32_t rounds = 0;
+  EXPECT_EQ(LAGraph_Runner_cc(labels, r, a, &rounds), GrB_SUCCESS);
+  EXPECT_EQ(rounds, base.rounds);
+  std::vector<gb::Index> want_i;
+  std::vector<std::uint64_t> want_v;
+  base.labels.extract_tuples(want_i, want_v);
+  const auto got = tuples(labels->v);
+  EXPECT_EQ(got.first, want_i);
+  EXPECT_EQ(got.second, std::vector<double>(want_v.begin(), want_v.end()));
+  LAGraph_Runner_free(&r);
+  GrB_Vector_free(&labels);
+  GrB_Matrix_free(&a);
 }
 
 TEST(Runner, CancelSurfacesImmediatelyAndIsNeverRetried) {
