@@ -175,6 +175,15 @@ struct CBinary {
   }
 };
 
+/// A binary op in operator position (eWise op, build dup). GrB_NULL_ACCUM
+/// only means "no accumulator"; as an operator it is an invalid value.
+CBinary c_binary(GrB_BinaryOp op) {
+  if (op == GrB_NULL_ACCUM)
+    throw gb::Error(gb::Info::invalid_value,
+                    "GrB_NULL_ACCUM is not a binary operator");
+  return CBinary{op};
+}
+
 struct CUnary {
   GrB_UnaryOp op;
   double operator()(double a) const {
@@ -616,7 +625,7 @@ GrB_Info GrB_Matrix_build_FP64(GrB_Matrix a, const GrB_Index* rows,
   return guarded_at(a, [&] {
     a->m.build(std::span<const gb::Index>(rows, n),
                std::span<const gb::Index>(cols, n),
-               std::span<const double>(vals, n), CBinary{dup});
+               std::span<const double>(vals, n), c_binary(dup));
     return GrB_SUCCESS;
   });
 }
@@ -646,7 +655,7 @@ GrB_Info GrB_Vector_build_FP64(GrB_Vector v, const GrB_Index* idx,
   if (!v || (!idx && n) || (!vals && n)) return GrB_NULL_POINTER;
   return guarded_at(v, [&] {
     v->v.build(std::span<const gb::Index>(idx, n),
-               std::span<const double>(vals, n), CBinary{dup});
+               std::span<const double>(vals, n), c_binary(dup));
     return GrB_SUCCESS;
   });
 }
@@ -743,7 +752,7 @@ GrB_Info GrB_Matrix_eWiseAdd(GrB_Matrix c, GrB_Matrix mask, GrB_BinaryOp accum,
   return guarded_at(c, [&] {
     return with_mask(mask, [&](const auto& mk) {
       return with_accum(accum, [&](const auto& acc) {
-        gb::ewise_add(c->m, mk, acc, CBinary{op}, a->m, b->m, c_desc(desc));
+        gb::ewise_add(c->m, mk, acc, c_binary(op), a->m, b->m, c_desc(desc));
         return GrB_SUCCESS;
       });
     });
@@ -759,7 +768,7 @@ GrB_Info GrB_kronecker(GrB_Matrix c, GrB_Matrix mask, GrB_BinaryOp accum,
   return guarded_at(c, [&] {
     return with_mask(mask, [&](const auto& mk) {
       return with_accum(accum, [&](const auto& acc) {
-        gb::kronecker(c->m, mk, acc, CBinary{op}, a->m, b->m, c_desc(desc));
+        gb::kronecker(c->m, mk, acc, c_binary(op), a->m, b->m, c_desc(desc));
         return GrB_SUCCESS;
       });
     });
@@ -775,7 +784,7 @@ GrB_Info GrB_Matrix_eWiseMult(GrB_Matrix c, GrB_Matrix mask,
   return guarded_at(c, [&] {
     return with_mask(mask, [&](const auto& mk) {
       return with_accum(accum, [&](const auto& acc) {
-        gb::ewise_mult(c->m, mk, acc, CBinary{op}, a->m, b->m, c_desc(desc));
+        gb::ewise_mult(c->m, mk, acc, c_binary(op), a->m, b->m, c_desc(desc));
         return GrB_SUCCESS;
       });
     });
@@ -791,7 +800,7 @@ GrB_Info GrB_Vector_eWiseAdd(GrB_Vector w, GrB_Vector mask, GrB_BinaryOp accum,
   return guarded_at(w, [&] {
     return with_mask(mask, [&](const auto& mk) {
       return with_accum(accum, [&](const auto& acc) {
-        gb::ewise_add(w->v, mk, acc, CBinary{op}, u->v, v->v, c_desc(desc));
+        gb::ewise_add(w->v, mk, acc, c_binary(op), u->v, v->v, c_desc(desc));
         return GrB_SUCCESS;
       });
     });
@@ -807,7 +816,7 @@ GrB_Info GrB_Vector_eWiseMult(GrB_Vector w, GrB_Vector mask,
   return guarded_at(w, [&] {
     return with_mask(mask, [&](const auto& mk) {
       return with_accum(accum, [&](const auto& acc) {
-        gb::ewise_mult(w->v, mk, acc, CBinary{op}, u->v, v->v, c_desc(desc));
+        gb::ewise_mult(w->v, mk, acc, c_binary(op), u->v, v->v, c_desc(desc));
         return GrB_SUCCESS;
       });
     });

@@ -79,11 +79,11 @@ typedef enum {
   GrB_LOR,
   GrB_LAND,
   GrB_EQ_FP64,
-  GrB_NE_FP64
+  GrB_NE_FP64,
+  /* GrB_NULL for the accumulator argument: a real enumerator (so loading
+   * it is defined behaviour) that no operation accepts as an operator. */
+  GrB_NULL_ACCUM
 } GrB_BinaryOp;
-
-/* GrB_NULL for the accumulator argument. */
-#define GrB_NULL_ACCUM ((GrB_BinaryOp)-1)
 
 typedef enum {
   GrB_PLUS_MONOID_FP64,

@@ -185,7 +185,10 @@ GrB_Info LAGraph_Service_free(LAGraph_Service* s);
 
 /* Freeze a copy of `a` (interpreted as directed) and publish it under
  * `name`. Republishing a name replaces the version seen by *future*
- * submissions; in-flight jobs keep their snapshot (snapshot isolation). */
+ * submissions; in-flight jobs keep their snapshot (snapshot isolation).
+ * Each publish also frees, on the calling thread, every retired version
+ * that no queued or running job still references; a finished job pins
+ * nothing, whether or not it has been released. */
 GrB_Info LAGraph_Service_publish(LAGraph_Service s, const char* name,
                                  GrB_Matrix a);
 

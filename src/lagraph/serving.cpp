@@ -99,7 +99,6 @@ std::shared_ptr<const Graph> GraphService::snapshot(
     if (it != graphs_.end()) cell = it->second.get();
   }
   gb::check_value(cell != nullptr, "GraphService: unknown graph name");
-  gb::platform::Epoch::Guard pin;
   auto snap = cell->acquire();
   gb::check_value(snap != nullptr, "GraphService: graph never published");
   return snap;

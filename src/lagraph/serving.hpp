@@ -6,8 +6,10 @@
 // cache materialised) and installs it in a Versioned cell. Submitting a job
 // acquires the version current *at submit time*; a writer republishing the
 // name never blocks running readers and never changes what an in-flight job
-// sees (snapshot isolation). Displaced versions are parked in the epoch
-// limbo and freed deterministically by drain_retired() / Service::quiesce().
+// sees (snapshot isolation). A displaced version is parked in the
+// retirement limbo and freed by the next publish (of any name) once nothing
+// references it: a job's closure holds its snapshot only until the job is
+// terminal, so retained versions are those live requests still read.
 //
 // Execution model: algorithm jobs are self-governed — a lagraph::Runner is
 // bound to the request's Governor (external-governor mode), so slices arm
@@ -74,7 +76,8 @@ class GraphService {
   /// Freeze `g` and install it as the current version under `name`.
   /// Republishing replaces the version for *future* submissions only; jobs
   /// in flight keep the snapshot they acquired. The displaced version goes
-  /// to the epoch limbo for deterministic retirement.
+  /// to the retirement limbo, and every retired version no job still
+  /// references is freed here, on the publishing thread.
   void publish(const std::string& name, Graph&& g);
 
   /// The current published snapshot (throws gb::Error invalid_value when the
@@ -120,7 +123,9 @@ class GraphService {
     return svc_.stats();
   }
 
-  /// Free every retired graph version no reader can still reach.
+  /// Free every retired graph version nothing references any more. publish
+  /// already does this; the explicit call is for callers that drop their
+  /// own snapshot references and want the memory back before the next one.
   std::size_t drain_retired() { return gb::platform::Epoch::drain(); }
 
   /// Wait for in-flight work to finish, then drain (Service::quiesce).

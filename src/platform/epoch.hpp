@@ -1,32 +1,29 @@
-// Epoch-based reclamation and versioned publication for the serving layer.
+// Retirement and versioned publication for the serving layer.
 //
 // The snapshot mechanism (Matrix/Vector/Graph::snapshot) hands immutable
-// shared_ptr<const T> views to concurrent readers, so plain reference
-// counting already keeps memory alive exactly as long as someone reads it.
-// What reference counting alone does NOT give is *deterministic* retirement:
-// the GrB_wait analogy in the issue — "old versions free deterministically"
-// — means a writer that republishes wants a point where it can say "every
-// snapshot published before now is gone, or still pinned by a reader I can
-// name". Epochs provide that point.
+// shared_ptr<const T> views to concurrent readers, so reference counting
+// already keeps a version alive exactly as long as someone reads it. What
+// the limbo adds is *where* the last free happens: a displaced version is
+// parked here instead of being dropped by whichever reader lets go last, so
+// a multi-MiB graph (plus its cached transpose, degrees, ...) is torn down
+// on the publisher's thread, never on a request's.
 //
 // Protocol:
-//   * Readers enter a Guard before acquiring a published snapshot. The guard
-//     pins the global epoch for its lifetime.
-//   * Writers retire an old snapshot with Epoch::retire(ptr): the pointer is
-//     stamped with a freshly bumped epoch and parked in a limbo list.
-//   * Epoch::drain() frees every limbo entry whose stamp is <= the minimum
-//     epoch pinned by any live guard (all of them when no guard is live).
-//     The Service calls drain at worker quiescence points, so retirement is
-//     deterministic: after drain returns with no readers in flight, nothing
-//     old survives.
+//   * Versioned::publish installs the new version, parks the displaced one
+//     with Epoch::retire, then runs Epoch::drain.
+//   * Epoch::drain frees every limbo entry whose only remaining owner is the
+//     limbo itself (use_count() == 1). That count cannot rise again: acquire
+//     hands out only the current version, so nobody can reach a retired one
+//     except through a reference it already holds.
+//   * The Service drops a request's job closure (and the snapshot it
+//     captured) the moment the request reaches a terminal state, so a
+//     finished job the client never released pins nothing.
 //
-// The registry is a fixed array of per-slot pinned epochs (one slot per
-// thread, assigned on first use), so Guard entry/exit is two relaxed-ish
-// atomic stores and never allocates — cheap enough for the per-request path.
+// Retained memory is therefore bounded by the versions live requests still
+// reference, plus those freed at the next publish — not by publish rate x
+// uptime. Drain is also safe to call directly (quiesce, tests).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -36,50 +33,24 @@ namespace gb::platform {
 
 class Epoch {
  public:
-  static constexpr std::uint64_t kUnpinned = ~std::uint64_t{0};
-  static constexpr int kMaxThreads = 256;
-
-  /// Pins the current global epoch for the lifetime of the guard. Nestable:
-  /// inner guards on the same thread keep the outermost pin.
-  class Guard {
-   public:
-    Guard() noexcept {
-      Slot& s = my_slot();
-      if (s.depth++ == 0)
-        s.pinned.store(global().load(std::memory_order_acquire),
-                       std::memory_order_release);
-    }
-    ~Guard() {
-      Slot& s = my_slot();
-      if (--s.depth == 0)
-        s.pinned.store(kUnpinned, std::memory_order_release);
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-  };
-
-  /// Park an expired snapshot: stamp it past every currently pinned epoch
-  /// and keep it alive until a drain proves no reader can still hold a
-  /// pre-retirement acquisition path to it.
+  /// Park a displaced snapshot until a drain finds the limbo holds its last
+  /// reference.
   static void retire(std::shared_ptr<const void> p) {
     if (!p) return;
-    const std::uint64_t stamp =
-        global().fetch_add(1, std::memory_order_acq_rel) + 1;
     std::lock_guard<std::mutex> lk(limbo_mutex());
-    limbo().push_back(Retired{stamp, std::move(p)});
+    limbo().push_back(std::move(p));
   }
 
-  /// Free every retired snapshot no live guard can still reach. Returns the
+  /// Free every retired snapshot nothing else references. Returns the
   /// number of entries freed. Safe from any thread, any time; O(limbo).
   static std::size_t drain() {
-    const std::uint64_t horizon = min_pinned();
-    std::vector<Retired> freed;
+    std::vector<std::shared_ptr<const void>> freed;
     {
       std::lock_guard<std::mutex> lk(limbo_mutex());
       auto& l = limbo();
       auto keep = l.begin();
       for (auto it = l.begin(); it != l.end(); ++it) {
-        if (it->stamp <= horizon)
+        if (it->use_count() == 1)
           freed.push_back(std::move(*it));  // drops outside the lock
         else
           *keep++ = std::move(*it);
@@ -95,69 +66,22 @@ class Epoch {
     return limbo().size();
   }
 
-  /// Smallest epoch pinned by any live guard; max when none are live
-  /// (then every limbo entry is drainable).
-  static std::uint64_t min_pinned() noexcept {
-    std::uint64_t m = kUnpinned;
-    Registry& r = registry();
-    const int n = r.used.load(std::memory_order_acquire);
-    for (int i = 0; i < n; ++i) {
-      const std::uint64_t p = r.slots[i].pinned.load(std::memory_order_acquire);
-      if (p < m) m = p;
-    }
-    return m;
-  }
-
  private:
-  struct Slot {
-    std::atomic<std::uint64_t> pinned{kUnpinned};
-    int depth = 0;  // only touched by the owning thread
-  };
-  struct Registry {
-    std::array<Slot, kMaxThreads> slots{};
-    std::atomic<int> used{0};
-  };
-  struct Retired {
-    std::uint64_t stamp;
-    std::shared_ptr<const void> p;
-  };
-
-  static Registry& registry() {
-    static Registry r;
-    return r;
-  }
-  static std::atomic<std::uint64_t>& global() {
-    static std::atomic<std::uint64_t> e{0};
-    return e;
-  }
   static std::mutex& limbo_mutex() {
     static std::mutex m;
     return m;
   }
-  static std::vector<Retired>& limbo() {
-    static std::vector<Retired> l;
+  static std::vector<std::shared_ptr<const void>>& limbo() {
+    static std::vector<std::shared_ptr<const void>> l;
     return l;
-  }
-
-  static Slot& my_slot() {
-    thread_local Slot* slot = [] {
-      Registry& r = registry();
-      const int i = r.used.fetch_add(1, std::memory_order_acq_rel);
-      // More threads than slots ever touch the registry: fall back to a
-      // leaked private slot — correctness (pins are still honoured via the
-      // registered ones being conservative) matters more than the stat.
-      return i < kMaxThreads ? &r.slots[static_cast<std::size_t>(i)]
-                             : new Slot{};
-    }();
-    return *slot;
   }
 };
 
 /// A published, versioned value: writers install new immutable snapshots
-/// with publish(); readers acquire the current one under an Epoch::Guard.
-/// The displaced snapshot is retired (not freed) so in-flight readers that
-/// already pinned an older epoch keep a stable view — writers never block
-/// readers, and readers never block writers.
+/// with publish(); readers acquire the current one. The displaced snapshot
+/// is retired (not dropped) so in-flight readers keep a stable view and the
+/// final free runs on the publisher's thread — writers never block readers,
+/// and readers never block writers.
 template <typename T>
 class Versioned {
  public:
@@ -165,8 +89,9 @@ class Versioned {
   explicit Versioned(std::shared_ptr<const T> initial)
       : cur_(std::move(initial)) {}
 
-  /// Install `next` as the current version; the previous version is parked
-  /// in the epoch limbo for deterministic retirement.
+  /// Install `next` as the current version, park the previous one in the
+  /// limbo, and drain: every retired version no reader still holds is freed
+  /// here, on the caller's thread.
   void publish(std::shared_ptr<const T> next) {
     std::shared_ptr<const T> old;
     {
@@ -175,12 +100,12 @@ class Versioned {
       cur_ = std::move(next);
       ++version_;
     }
-    Epoch::retire(std::shared_ptr<const void>(old, old.get()));
+    Epoch::retire(std::shared_ptr<const void>(std::move(old)));
+    Epoch::drain();
   }
 
-  /// Acquire the current version. Callers hold an Epoch::Guard across the
-  /// acquire *and* their use if they want retirement stamps to be exact;
-  /// the shared_ptr alone already guarantees liveness.
+  /// Acquire the current version; the shared_ptr keeps it alive for as long
+  /// as the caller holds it, even across later publishes.
   [[nodiscard]] std::shared_ptr<const T> acquire() const {
     std::lock_guard<std::mutex> lk(m_);
     return cur_;

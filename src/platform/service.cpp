@@ -69,7 +69,8 @@ struct Service::Ticket::Request {
 
 /// One coalesced batch: the members (in join order), the job that runs them
 /// all, and the open/sealed lifecycle. Guarded by the service mutex until
-/// sealed; immutable afterwards (the worker reads it without the lock).
+/// sealed; afterwards only the thread that dispatches or orphans the batch
+/// touches it (reading it, then dropping the job at the terminal state).
 struct Service::Batch {
   std::vector<std::shared_ptr<Ticket::Request>> members;
   BatchJob job;
@@ -314,6 +315,10 @@ void Service::stop() {
 
 void Service::finish(const std::shared_ptr<Ticket::Request>& r, State s,
                      std::exception_ptr err) noexcept {
+  // Drop the closure, and any snapshot it captured, before the state turns
+  // terminal: once a waiter returns, the request pins no graph version, even
+  // if the client never releases its ticket.
+  r->job = nullptr;
   {
     std::lock_guard<std::mutex> lk(r->m);
     r->state = s;
@@ -324,6 +329,7 @@ void Service::finish(const std::shared_ptr<Ticket::Request>& r, State s,
 
 void Service::finish_members(const std::shared_ptr<Batch>& b, State s,
                              std::exception_ptr err) {
+  b->job = nullptr;  // same as finish(): unpin before any member turns terminal
   for (auto& m : b->members) {
     const bool masked = m->member_cancelled.load(std::memory_order_relaxed);
     finish(m, masked ? State::cancelled : s, masked ? nullptr : err);
@@ -421,9 +427,6 @@ void Service::worker_loop() {
     State final = State::done;
     std::exception_ptr err;
     try {
-      // Pin the epoch for the whole execution: any snapshot this request
-      // acquired stays out of the drainable limbo until it finishes.
-      Epoch::Guard pin;
       const bool self_gov = r->batch ? r->batch->self_governed
                                      : r->self_governed;
       if (!self_gov) {

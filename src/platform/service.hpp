@@ -176,6 +176,9 @@ class Service {
 
   /// Admit a job, or shed it with OverloadedError. Strong guarantee: a
   /// throw (shed or OOM) leaves the service unchanged and serviceable.
+  /// The job closure is destroyed as soon as the request turns terminal
+  /// (ran, cancelled while queued, orphaned by stop()), before any waiter
+  /// wakes, so whatever it captured is not kept alive by the ticket.
   /// `self_governed` jobs arm the passed governor themselves (Runner path);
   /// policy-governed jobs run under a GovernorScope armed from the policy.
   Ticket submit(std::function<void(Governor&)> job, bool self_governed = false);
@@ -195,8 +198,9 @@ class Service {
   [[nodiscard]] ServiceStats stats() const;
 
   /// Block until no request is queued or running (new submits may still
-  /// arrive afterwards); then drain the epoch limbo so retired snapshots
-  /// free deterministically. Returns the number of snapshots freed.
+  /// arrive afterwards); then drain the retirement limbo. Every request is
+  /// terminal by then and has dropped its job, so every retired snapshot
+  /// the caller does not itself hold is freed. Returns the number freed.
   std::size_t quiesce();
 
   /// Stop accepting work, cancel queued requests, join workers + watchdog.

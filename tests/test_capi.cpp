@@ -645,3 +645,56 @@ TEST(CApiError, CorruptOutputCaughtBeforeDispatch) {
   GrB_Matrix_free(&a);
   GrB_Matrix_free(&c);
 }
+
+TEST(CApiError, NullAccumIsNotAnOperator) {
+  GrB_Matrix a = nullptr, c = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, 2, 2), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_new(&c, 2, 2), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Matrix_setElement_FP64(a, 1.0, 0, 1), GrB_SUCCESS);
+  // As an accumulator GrB_NULL_ACCUM means "none"; in operator position it
+  // is an invalid value, and the output is left untouched.
+  EXPECT_EQ(GrB_Matrix_eWiseAdd(c, nullptr, GrB_NULL_ACCUM, GrB_NULL_ACCUM,
+                                a, a, nullptr),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Matrix_eWiseMult(c, nullptr, GrB_NULL_ACCUM, GrB_NULL_ACCUM,
+                                 a, a, nullptr),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_kronecker(c, nullptr, GrB_NULL_ACCUM, GrB_NULL_ACCUM, a, a,
+                          nullptr),
+            GrB_INVALID_VALUE);
+  GrB_Index nv = 99;
+  EXPECT_EQ(GrB_Matrix_nvals(&nv, c), GrB_SUCCESS);
+  EXPECT_EQ(nv, 0u);
+  const GrB_Index idx[2] = {0, 0};
+  const double vals[2] = {1.0, 2.0};
+  EXPECT_EQ(GrB_Matrix_build_FP64(c, idx, idx, vals, 2, GrB_NULL_ACCUM),
+            GrB_INVALID_VALUE);
+
+  GrB_Vector u = nullptr, w = nullptr;
+  ASSERT_EQ(GrB_Vector_new(&u, 3), GrB_SUCCESS);
+  ASSERT_EQ(GrB_Vector_new(&w, 3), GrB_SUCCESS);
+  EXPECT_EQ(GrB_Vector_eWiseAdd(w, nullptr, GrB_NULL_ACCUM, GrB_NULL_ACCUM,
+                                u, u, nullptr),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Vector_eWiseMult(w, nullptr, GrB_NULL_ACCUM, GrB_NULL_ACCUM,
+                                 u, u, nullptr),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(GrB_Vector_build_FP64(w, idx, vals, 2, GrB_NULL_ACCUM),
+            GrB_INVALID_VALUE);
+
+  // A real operator still works, with or without an accumulator.
+  EXPECT_EQ(GrB_Matrix_eWiseAdd(c, nullptr, GrB_NULL_ACCUM, GrB_PLUS_FP64, a,
+                                a, nullptr),
+            GrB_SUCCESS);
+  EXPECT_EQ(GrB_Matrix_eWiseAdd(c, nullptr, GrB_PLUS_FP64, GrB_PLUS_FP64, a,
+                                a, nullptr),
+            GrB_SUCCESS);
+  double x = 0.0;
+  EXPECT_EQ(GrB_Matrix_extractElement_FP64(&x, c, 0, 1), GrB_SUCCESS);
+  EXPECT_EQ(x, 4.0);
+
+  GrB_Matrix_free(&a);
+  GrB_Matrix_free(&c);
+  GrB_Vector_free(&u);
+  GrB_Vector_free(&w);
+}

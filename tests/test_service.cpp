@@ -9,6 +9,7 @@
 // results bit-identical to a serial run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -92,18 +93,14 @@ TEST(Epoch, RetireWithoutReadersDrainsImmediately) {
   EXPECT_TRUE(w.expired());
 }
 
-TEST(Epoch, PinnedGuardBlocksDrainUntilReleased) {
+TEST(Epoch, HeldReferenceBlocksDrainUntilReleased) {
   Epoch::drain();
-  std::weak_ptr<const int> w;
-  {
-    Epoch::Guard pin;  // pinned *before* the retirement stamp
-    auto p = std::make_shared<const int>(42);
-    w = p;
-    Epoch::retire(std::shared_ptr<const void>(p, p.get()));
-    p.reset();
-    EXPECT_EQ(Epoch::drain(), std::size_t{0});  // reader still pinned
-    EXPECT_FALSE(w.expired());
-  }
+  auto p = std::make_shared<const int>(42);  // a reader's reference
+  std::weak_ptr<const int> w = p;
+  Epoch::retire(std::shared_ptr<const void>(p, p.get()));
+  EXPECT_EQ(Epoch::drain(), std::size_t{0});  // the reader still holds it
+  EXPECT_FALSE(w.expired());
+  p.reset();  // the limbo now holds the last reference
   EXPECT_GE(Epoch::drain(), std::size_t{1});
   EXPECT_TRUE(w.expired());
 }
@@ -114,16 +111,20 @@ TEST(Epoch, VersionedPublishKeepsPinnedReadersStable) {
   cell.publish(std::make_shared<const int>(1));
   EXPECT_EQ(cell.version(), 1u);
 
-  Epoch::Guard pin;
-  auto v1 = cell.acquire();
+  auto v1 = cell.acquire();  // a reader holding v1 across the republish
   ASSERT_NE(v1, nullptr);
   EXPECT_EQ(*v1, 1);
+  std::weak_ptr<const int> w1 = v1;
 
   cell.publish(std::make_shared<const int>(2));
   EXPECT_EQ(cell.version(), 2u);
   EXPECT_EQ(*v1, 1);                 // old acquisition untouched
   EXPECT_EQ(*cell.acquire(), 2);     // new readers see the new version
   EXPECT_GE(Epoch::limbo_size(), std::size_t{1});
+
+  v1.reset();                        // reader done: the next publish frees v1
+  cell.publish(std::make_shared<const int>(3));
+  EXPECT_TRUE(w1.expired());
 }
 
 // --- freeze / snapshot substrate --------------------------------------------
@@ -609,4 +610,188 @@ TEST(GraphService, ClientCancelSurfacesAsCancelledStop) {
   EXPECT_EQ(svc.poll(job), GraphService::JobState::cancelled);
   svc.release(job);
   EXPECT_THROW((void)svc.poll(job), gb::Error);
+}
+
+// --- retirement under churn: bounded by what live requests reference --------
+
+namespace {
+
+/// A graph whose published version (matrix, degrees, undirected view, all
+/// frozen) dwarfs the kernels' per-thread scratch, so the metered footprint
+/// counts versions. Dense enough (1/8) that a forced bitmap or full storage
+/// form stays small too.
+Graph make_churn_graph(std::uint64_t seed) {
+  gb::Matrix<double> a = lagraph::randomize_weights(
+      lagraph::erdos_renyi(256, 8192, seed), 0.5, 2.0, seed);
+  return Graph(std::move(a), lagraph::Kind::directed);
+}
+
+/// Metered bytes held by one frozen churn graph (what a publish retains).
+std::ptrdiff_t bytes_of_one_version() {
+  const auto before = static_cast<std::ptrdiff_t>(MemoryMeter::current_bytes());
+  Graph g = make_churn_graph(7);
+  g.freeze();
+  return static_cast<std::ptrdiff_t>(MemoryMeter::current_bytes()) - before;
+}
+
+}  // namespace
+
+TEST(GraphService, SlowReaderPinsOnlyItsOwnVersion) {
+  GraphService::Options opts;
+  opts.service.workers = 2;
+  GraphService svc(opts);
+  svc.publish("g", make_test_graph(21));
+  const std::size_t limbo0 = Epoch::limbo_size();
+  std::weak_ptr<const Graph> v1 = svc.snapshot("g");
+
+  Graph same = make_test_graph(21);
+  const auto v1_truth = tuples(lagraph::pagerank(same, 0.85, 1e-9, 100).rank);
+
+  // A query that holds v1 and blocks on a latch until released.
+  std::atomic<bool> entered{false};
+  std::atomic<bool> latch{false};
+  const std::uint64_t job =
+      svc.submit("g", [&](const Graph& g, Governor&) {
+        entered.store(true);
+        while (!latch.load()) sleep_ms(0.2);
+        const auto t = tuples(lagraph::pagerank(g, 0.85, 1e-9, 100).rank);
+        ServiceJobResult r;
+        r.idx = t.first;
+        r.vals = t.second;
+        return r;
+      });
+  while (!entered.load()) sleep_ms(0.2);
+
+  // Eight republishes, no drain_retired()/quiesce(): v1..v8 are retired,
+  // and only v1 has a reader, so v2..v8 are freed by the publishes.
+  std::vector<std::weak_ptr<const Graph>> v2_to_v8;
+  for (int i = 0; i < 8; ++i) {
+    svc.publish("g", make_test_graph(200 + static_cast<std::uint64_t>(i)));
+    if (i < 7) v2_to_v8.push_back(svc.snapshot("g"));
+  }
+  EXPECT_EQ(Epoch::limbo_size(), limbo0 + 1);
+  for (const auto& w : v2_to_v8) EXPECT_TRUE(w.expired());
+  EXPECT_FALSE(v1.expired());
+
+  latch.store(true);
+  const ServiceJobResult& r = svc.wait(job);
+  EXPECT_EQ(std::make_pair(r.idx, r.vals), v1_truth);
+  svc.publish("g", make_test_graph(300));  // the next publish frees v1
+  EXPECT_TRUE(v1.expired());
+  EXPECT_EQ(Epoch::limbo_size(), limbo0);
+}
+
+TEST(GraphService, FinishedUnreleasedJobDoesNotPinItsVersion) {
+  GraphService svc;
+  svc.publish("g", make_test_graph(41));
+  std::weak_ptr<const Graph> v1 = svc.snapshot("g");
+  const std::uint64_t job = svc.submit_algorithm("bfs", "g", 0);
+  EXPECT_FALSE(lagraph::is_interruption(svc.wait(job).stop));
+
+  // No release(job): the record and its result stay, the closure does not.
+  svc.publish("g", make_test_graph(42));
+  svc.publish("g", make_test_graph(43));
+  EXPECT_TRUE(v1.expired());
+  EXPECT_EQ(svc.poll(job), GraphService::JobState::done);
+}
+
+TEST(GraphService, ChurnKeepsMemoryBounded) {
+  constexpr int kReaders = 3;
+  constexpr int kPublishes = 40;
+  // Version k (1-based) is make_churn_graph(500 + k); readers check every
+  // result against the truth of the version current at submit time.
+  using Tuples = std::pair<std::vector<Index>, std::vector<double>>;
+  std::vector<Tuples> bfs_truth(kPublishes + 2), pr_truth(kPublishes + 2);
+  for (int k = 1; k <= kPublishes + 1; ++k) {
+    Graph g = make_churn_graph(500 + static_cast<std::uint64_t>(k));
+    bfs_truth[k] = tuples(
+        lagraph::bfs(g, 0, lagraph::BfsVariant::direction_optimizing).level);
+    pr_truth[k] = tuples(lagraph::pagerank(g, 0.85, 1e-9, 100).rank);
+  }
+
+  const std::ptrdiff_t one = bytes_of_one_version();
+  ASSERT_GT(one, 0);
+  GraphService::Options opts;
+  opts.service.workers = kReaders;
+  opts.service.queue_limit = 0;  // unbounded: readers are never shed
+  GraphService svc(opts);
+  const auto base = static_cast<std::ptrdiff_t>(MemoryMeter::current_bytes());
+  const std::size_t limbo0 = Epoch::limbo_size();
+  svc.publish("g", make_churn_graph(501));
+
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> checked{0};
+  std::vector<std::thread> readers;
+  for (int c = 0; c < kReaders; ++c) {
+    readers.emplace_back([&, c] {
+      const bool is_bfs = c % 2 == 0;
+      const auto& truth = is_bfs ? bfs_truth : pr_truth;
+      try {
+        while (!done.load()) {
+          const std::uint64_t lo = svc.version("g");
+          const std::uint64_t id =
+              svc.submit_algorithm(is_bfs ? "bfs" : "pagerank", "g", 0);
+          const std::uint64_t hi = svc.version("g");
+          const ServiceJobResult& r = svc.wait(id);
+          const Tuples got{r.idx, r.vals};
+          svc.release(id);
+          bool ok = false;
+          for (std::uint64_t v = lo; v <= hi; ++v) ok = ok || got == truth[v];
+          if (!ok) mismatches.fetch_add(1);
+          checked.fetch_add(1);
+        }
+      } catch (...) {
+        mismatches.fetch_add(1000);
+      }
+    });
+  }
+
+  // No drain_retired()/quiesce(): publishing alone must keep the footprint
+  // to the current version plus those the readers' in-flight jobs hold (at
+  // most one each). Two versions of slack cover kernel scratch and caches.
+  std::size_t worst_limbo = 0;
+  std::ptrdiff_t worst_bytes = 0;
+  for (int k = 2; k <= kPublishes + 1; ++k) {
+    svc.publish("g", make_churn_graph(500 + static_cast<std::uint64_t>(k)));
+    worst_limbo = std::max(worst_limbo, Epoch::limbo_size() - limbo0);
+    worst_bytes = std::max(
+        worst_bytes,
+        static_cast<std::ptrdiff_t>(MemoryMeter::current_bytes()) - base);
+    sleep_ms(2);
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(checked.load(), 0);
+  EXPECT_LE(worst_limbo, std::size_t{kReaders});
+  EXPECT_LE(worst_bytes, (1 + kReaders + 2) * one)
+      << "one version = " << one << " bytes";
+}
+
+TEST(GraphService, ShedWatermarkIgnoresRetiredVersions) {
+  // Watermark: the footprint after the first publish plus four versions.
+  const std::ptrdiff_t one = bytes_of_one_version();
+  ASSERT_GT(one, 0);
+  GraphService::Options opts;
+  opts.service.workers = 1;
+  opts.service.shed_bytes =
+      MemoryMeter::current_bytes() + static_cast<std::size_t>(5 * one);
+  GraphService svc(opts);
+  svc.publish("g", make_churn_graph(601));
+
+  // Each republish retires a version nothing reads any more; it must not
+  // count against the watermark.
+  for (int k = 2; k <= 33; ++k) {
+    svc.publish("g", make_churn_graph(600 + static_cast<std::uint64_t>(k)));
+    try {
+      const std::uint64_t id = svc.submit_algorithm("bfs", "g", 0);
+      (void)svc.wait(id);
+      svc.release(id);
+    } catch (const OverloadedError&) {
+      // counted in stats().shed below
+    }
+  }
+  EXPECT_EQ(svc.stats().shed, 0u);
 }
