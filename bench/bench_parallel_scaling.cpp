@@ -1,8 +1,9 @@
 // PR3: thread-scaling of the cost-balanced parallel kernels. Runs the
-// two-pass Gustavson mxm (plus dot/eWise/transpose companions) on an
-// RMAT-skewed input — the degree distribution equal-row chunking collapses
-// on — and a uniform Erdős–Rényi control, at 1..max threads, and emits
-// BENCH_PR3.json at the repo root.
+// Gustavson mxm — unmasked (symbolic count, then numeric pass) and masked
+// C<A> = A*A (one pass, rows staged at the mask's offsets) — plus
+// dot/eWise/transpose companions on an RMAT-skewed input — the degree
+// distribution equal-row chunking collapses on — and a uniform Erdős–Rényi
+// control, at 1..max threads, and emits BENCH_PR3.json at the repo root.
 //
 // Speedup is a property of the machine: on a single-core container every
 // ratio is ~1.0 by construction; the JSON records hardware_concurrency so
@@ -89,6 +90,12 @@ void run_kernels(const char* input_name, const gb::Matrix<double>& a,
     d.mxm = gb::MxmMethod::gustavson;
     gb::Matrix<double> c(n, n);
     gb::mxm(c, gb::no_mask, gb::no_accum, sr, a, a, d);
+  });
+  bench_kernel("mxm_gustavson_masked", [&] {
+    gb::Descriptor d = gb::desc_s;
+    d.mxm = gb::MxmMethod::gustavson;
+    gb::Matrix<double> c(n, n);
+    gb::mxm(c, a, gb::no_accum, sr, a, a, d);
   });
   bench_kernel("mxm_dot_masked", [&] {
     gb::Descriptor d = gb::desc_s;

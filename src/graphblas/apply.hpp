@@ -195,7 +195,7 @@ void apply_indexop(Matrix<CT>& c, const MaskArg& mask, const Accum& accum,
   t.h = s.h;
   t.p = s.p;
   t.i = s.i;
-  t.x.resize(s.x.size());
+  Buf<storage_t<ZT>> x(s.x.size());  // see unstage()
   const std::size_t nv = static_cast<std::size_t>(s.nvec());
   const std::span<const Index> costs(s.p.data(), nv + 1);
   platform::parallel_balanced_chunks(
@@ -205,10 +205,11 @@ void apply_indexop(Matrix<CT>& c, const MaskArg& mask, const Accum& accum,
           Index row = s.vec_id(static_cast<Index>(k));
           for (Index pos = s.vec_begin(static_cast<Index>(k));
                pos < s.vec_end(static_cast<Index>(k)); ++pos) {
-            t.x[pos] = f(s.x[pos], row, s.i[pos], thunk);
+            x[pos] = f(s.x[pos], row, s.i[pos], thunk);
           }
         }
       });
+  t.x = unstage<ZT>(std::move(x));
   write_back(c, mask, accum, std::move(t), desc);
 }
 

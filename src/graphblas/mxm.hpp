@@ -2,18 +2,21 @@
 // SuiteSparse:GraphBLAS (§II-A):
 //
 //   * Gustavson — row-wise saxpy with a dense accumulator [Gustavson 1978];
-//     the general workhorse. Runs as a two-pass symbolic/numeric kernel:
-//     a parallel symbolic pass counts each output row, an exclusive scan
-//     builds the pointer array, and the numeric pass writes every row into
-//     its precomputed offset — no per-chunk stores, no serial
-//     concatenation tail. Masked, it works mask first (SuiteSparse's masked
-//     saxpy): each row with entries in A(i,:) scatters M(i,:) into its mark
-//     array before any product, so a plain mask skips forbidden columns
-//     before the multiply and emits the row by walking the already-sorted
-//     M(i,:) — no per-row sort — while a complemented mask skips the marked
-//     columns and sorts only the survivors. Each allowed (i,j) still folds its products in
-//     ascending k, so the values are bit-identical to the unmasked product
-//     filtered afterwards;
+//     the general workhorse. Parallel chunks write every row at a known
+//     offset — no per-chunk stores, no serial concatenation tail. Unmasked
+//     or under a complemented mask a row's size is unknown until computed,
+//     so a symbolic pass counts each row, an exclusive scan builds the
+//     pointer array and the numeric pass writes the rows. A plain mask
+//     bounds row i by M(i,:), so there is one pass: each row is written at
+//     M(i,:)'s offset in a staging array, and a scan of the counts plus a
+//     compaction pack the rows. Masked, it works mask first (SuiteSparse's
+//     masked saxpy): each row with entries in A(i,:) scatters M(i,:) into
+//     its mark array before any product, so a plain mask skips forbidden
+//     columns before the multiply and emits the row by walking the
+//     already-sorted M(i,:) — no per-row sort — while a complemented mask
+//     skips the marked columns and sorts only the survivors. Each allowed
+//     (i,j) still folds its products in ascending k, so the values are
+//     bit-identical to the unmasked product filtered afterwards;
 //   * dot       — C(i,j) = A(i,:)·B(:,j); with a (non-complemented) mask it
 //     only computes the masked positions, and terminal monoids exit each
 //     dot early — this pairing is the "masked dot" the paper highlights;
@@ -28,7 +31,7 @@
 // All three methods parallelise over cost-balanced chunks of rows (flops
 // per row, not row count — GraphBLAST-style merge-path balancing), and all
 // three produce bit-identical results at every thread count: Gustavson by
-// writing rows at precomputed offsets, dot and heap by concatenating
+// writing rows at input-determined offsets, dot and heap by concatenating
 // per-chunk stores in chunk order. mxm() resolves the mask's row view once,
 // on the calling thread, before any of them forks; the kernels only read it.
 #pragma once
@@ -106,12 +109,15 @@ inline constexpr std::uint8_t kColFree = 0;    ///< untouched, unmarked
 inline constexpr std::uint8_t kColHit = 1;     ///< holds a partial sum
 inline constexpr std::uint8_t kColMarked = 2;  ///< in M(i,:), not yet hit
 
-/// Gustavson saxpy, two passes over cost-balanced chunks of A's stored
-/// rows. The symbolic pass counts each output row's entries (pattern +
-/// mask, no values), the exclusive scan turns the counts into final row
-/// offsets, and the numeric pass computes values and writes each row
-/// directly into its slot — the output is bit-identical for every chunking
-/// and thread count because offsets do not depend on either.
+/// Gustavson saxpy over cost-balanced chunks of A's stored rows. Unmasked
+/// or complemented, it takes two passes: the symbolic pass counts each
+/// output row's entries (pattern + mask, no values), the exclusive scan
+/// turns the counts into final row offsets, and the numeric pass computes
+/// values and writes each row directly into its slot. Under a plain mask
+/// row i's output is a subset of M(i,:), so the numeric pass runs alone,
+/// staging row i at M(i,:)'s offset; the scan of its counts and a
+/// compaction then pack the rows. Either way the output is bit-identical
+/// for every chunking and thread count: the offsets depend on neither.
 ///
 /// Masked rows run mask first (see the file header). `mask` is the mask's
 /// row view, resolved before the call (mask_rows()), with n columns.
@@ -149,7 +155,7 @@ SparseStore<typename SR::value_type> mxm_gustavson(
       Buf<Index>().swap(t.p);
       t.form = Format::bitmap;
       t.mdim = n;
-      t.x.assign(slots, ZT{});
+      Buf<storage_t<ZT>> x(slots, storage_t<ZT>{});  // see unstage()
       t.b.assign(slots, 0);
 
       auto run_range = [&](std::size_t klo, std::size_t khi) -> Index {
@@ -168,10 +174,11 @@ SparseStore<typename SR::value_type> mxm_gustavson(
               ZT prod = static_cast<ZT>(sr.mul(aval, rb.x[pb]));
               if (!t.b[s]) {
                 t.b[s] = 1;
-                t.x[s] = prod;
+                x[s] = prod;
                 ++cnt;
               } else if constexpr (!always_terminal<typename SR::add_type>) {
-                if (!sr.add.is_terminal(t.x[s])) t.x[s] = sr.add(t.x[s], prod);
+                const ZT cur = static_cast<ZT>(x[s]);
+                if (!sr.add.is_terminal(cur)) x[s] = sr.add(cur, prod);
               }
             }
           }
@@ -183,17 +190,18 @@ SparseStore<typename SR::value_type> mxm_gustavson(
           platform::chunk_count(static_cast<std::size_t>(nv), costs[nv]);
       if (nchunks <= 1) {
         t.bnvals = run_range(0, static_cast<std::size_t>(nv));
-        return t;
+      } else {
+        Buf<Index> cnts(nchunks, 0);
+        platform::parallel_balanced_chunks_n(
+            costs, nchunks,
+            [&](std::size_t c, std::size_t lo, std::size_t hi) {
+              cnts[c] = run_range(lo, hi);
+            });
+        Index total = 0;
+        for (std::size_t c = 0; c < nchunks; ++c) total += cnts[c];
+        t.bnvals = total;
       }
-      Buf<Index> cnts(nchunks, 0);
-      platform::parallel_balanced_chunks_n(
-          costs, nchunks,
-          [&](std::size_t c, std::size_t lo, std::size_t hi) {
-            cnts[c] = run_range(lo, hi);
-          });
-      Index total = 0;
-      for (std::size_t c = 0; c < nchunks; ++c) total += cnts[c];
-      t.bnvals = total;
+      t.x = unstage<ZT>(std::move(x));
       return t;
     }
   } else {
@@ -274,11 +282,10 @@ SparseStore<typename SR::value_type> mxm_gustavson(
   };
 
   // Single-chunk fused pass: when the flop-balancer would hand the whole
-  // product to one worker anyway (few rows, or a single-core budget), the
-  // symbolic pass buys nothing — its offsets only exist so parallel chunks
-  // can write disjoint ranges. Accumulate each row once and append. The
+  // product to one worker anyway (few rows, or a single-core budget), no
+  // chunk needs an offset. Accumulate each row once and append. The
   // entries, their order, and the fold order are exactly the numeric pass's,
-  // so the store is bit-identical to the two-pass result.
+  // so the store is bit-identical to the chunked result.
   if (platform::chunk_count(static_cast<std::size_t>(nv), costs[nv]) <= 1) {
     auto acc_h = platform::Workspace::checkout<ws_mxm_acc, ZT>(n);
     auto present_h =
@@ -298,10 +305,85 @@ SparseStore<typename SR::value_type> mxm_gustavson(
     return t;
   }
 
-  // --- symbolic pass: counts[ka] = nnz of output row ka ---
   auto counts_h = platform::Workspace::checkout<ws_mxm_counts, Index>(
       static_cast<std::size_t>(nv) + 1);
   auto& counts = *counts_h;
+
+  // The numeric pass over flop-balanced chunks: row ka is written into
+  // oi/ox from offset start(ka) on, and done(ka, count) sees its count.
+  auto numeric_pass = [&](Index* oi, storage_t<ZT>* ox, auto&& start,
+                          auto&& done) {
+    platform::parallel_balanced_chunks(
+        costs, [&](std::size_t, std::size_t klo, std::size_t khi) {
+          auto acc_h = platform::Workspace::checkout<ws_mxm_acc, ZT>(n);
+          auto present_h =
+              platform::Workspace::checkout<ws_mxm_present, std::uint8_t>(n);
+          auto touched_h =
+              platform::Workspace::checkout<ws_mxm_touched, Index>();
+          for (std::size_t k = klo; k < khi; ++k) {
+            platform::governor_poll();
+            const Index ka = static_cast<Index>(k);
+            Index pos = start(ka);
+            done(ka, row(std::true_type{}, ka, *present_h, *touched_h,
+                         &*acc_h, [&](Index j, const ZT& v) {
+                           oi[pos] = j;
+                           ox[pos] = v;
+                           ++pos;
+                         }));
+          }
+        });
+  };
+
+  // Hyperlist, once counts holds the final row offsets: rows that produced
+  // entries, in order (the arrays are already packed, so this touches only
+  // h and p).
+  auto finish = [&] {
+    for (Index ka = 0; ka < nv; ++ka) {
+      if (counts[ka + 1] > counts[ka]) {
+        t.h.push_back(ra.vec_id(ka));
+        t.p.push_back(counts[ka + 1]);
+      }
+    }
+  };
+
+  if constexpr (is_masked<MaskRows>) {
+    if (mask_allows) {
+      // --- plain mask, one pass: row i's output is a subset of M(i,:), so
+      // M's pointer array already gives every row a disjoint staging range.
+      // Each chunk writes row ka at M(i,:)'s offset and records its count;
+      // the scan of the counts gives the final offsets, and a compaction
+      // packs the rows there. ---
+      Buf<Index> at(static_cast<std::size_t>(nv));  // row ka's staging offset
+      Buf<Index> si(mask.i.size());
+      Buf<storage_t<ZT>> sx(mask.i.size());  // see unstage()
+      numeric_pass(
+          si.data(), sx.data(),
+          [&](Index ka) {
+            const auto km = mask.find_vec(ra.vec_id(ka));
+            return at[ka] = km ? mask.vec_begin(*km) : 0;
+          },
+          [&](Index ka, Index cnt) { counts[ka] = cnt; });
+      const Index nnz = platform::exclusive_scan(counts);
+      t.i.resize(static_cast<std::size_t>(nnz));
+      Buf<storage_t<ZT>> x(static_cast<std::size_t>(nnz));
+      platform::parallel_balanced_chunks(
+          std::span<const Index>(counts.data(), counts.size()),
+          [&](std::size_t, std::size_t klo, std::size_t khi) {
+            for (std::size_t ka = klo; ka < khi; ++ka) {
+              const Index len = counts[ka + 1] - counts[ka];
+              std::copy_n(si.data() + at[ka], len, t.i.data() + counts[ka]);
+              std::copy_n(sx.data() + at[ka], len, x.data() + counts[ka]);
+            }
+          });
+      t.x = unstage<ZT>(std::move(x));
+      finish();
+      return t;
+    }
+  }
+
+  // Unmasked and complemented rows have no such bound (a row can reach any
+  // column of B), so they count first.
+  // --- symbolic pass: counts[ka] = nnz of output row ka ---
   platform::parallel_balanced_chunks(
       costs, [&](std::size_t, std::size_t klo, std::size_t khi) {
         auto present_h =
@@ -319,36 +401,14 @@ SparseStore<typename SR::value_type> mxm_gustavson(
   // --- pointer array: counts becomes each row's start offset ---
   const Index nnz = platform::exclusive_scan(counts);
   t.i.resize(static_cast<std::size_t>(nnz));
-  t.x.resize(static_cast<std::size_t>(nnz));
+  Buf<storage_t<ZT>> x(static_cast<std::size_t>(nnz));  // see unstage()
 
   // --- numeric pass: values, written at the precomputed offsets ---
-  platform::parallel_balanced_chunks(
-      costs, [&](std::size_t, std::size_t klo, std::size_t khi) {
-        auto acc_h = platform::Workspace::checkout<ws_mxm_acc, ZT>(n);
-        auto present_h =
-            platform::Workspace::checkout<ws_mxm_present, std::uint8_t>(n);
-        auto touched_h =
-            platform::Workspace::checkout<ws_mxm_touched, Index>();
-        for (std::size_t ka = klo; ka < khi; ++ka) {
-          platform::governor_poll();
-          Index pos = counts[ka];
-          row(std::true_type{}, static_cast<Index>(ka), *present_h,
-              *touched_h, &*acc_h, [&](Index j, const ZT& v) {
-                t.i[pos] = j;
-                t.x[pos] = v;
-                ++pos;
-              });
-        }
-      });
-
-  // --- hyperlist: rows that produced entries, in order (arrays are already
-  // packed contiguously, so this touches only h and p) ---
-  for (Index ka = 0; ka < nv; ++ka) {
-    if (counts[ka + 1] > counts[ka]) {
-      t.h.push_back(ra.vec_id(ka));
-      t.p.push_back(counts[ka + 1]);
-    }
-  }
+  numeric_pass(
+      t.i.data(), x.data(), [&](Index ka) { return counts[ka]; },
+      [](Index, Index) {});
+  t.x = unstage<ZT>(std::move(x));
+  finish();
   return t;
 }
 
@@ -786,7 +846,7 @@ void kronecker(Matrix<CT>& c, const MaskArg& mask, const Accum& accum, Op op,
   });
   const Index nnz = platform::exclusive_scan(counts);
   t.i.resize(static_cast<std::size_t>(nnz));
-  t.x.resize(static_cast<std::size_t>(nnz));
+  Buf<storage_t<ZT>> x(static_cast<std::size_t>(nnz));  // see unstage()
 
   // Pass 2: fill each block at its offset.
   const std::span<const Index> costs(counts.data(), counts.size());
@@ -800,12 +860,13 @@ void kronecker(Matrix<CT>& c, const MaskArg& mask, const Accum& accum, Op op,
           for (Index pa = ra.vec_begin(kaa); pa < ra.vec_end(kaa); ++pa) {
             for (Index pb = rb.vec_begin(kbb); pb < rb.vec_end(kbb); ++pb) {
               t.i[pos] = ra.i[pa] * bn + rb.i[pb];
-              t.x[pos] = static_cast<ZT>(op(ra.x[pa], rb.x[pb]));
+              x[pos] = static_cast<ZT>(op(ra.x[pa], rb.x[pb]));
               ++pos;
             }
           }
         }
       });
+  t.x = unstage<ZT>(std::move(x));
 
   // Hyperlist: pairs that produced entries, in (ka, kb) order — output row
   // ids ia*bm+ib are strictly increasing along that order.

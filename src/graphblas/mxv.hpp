@@ -194,12 +194,13 @@ void mxv_push(const SparseStore<AT>& cols, Index out_dim, const Vector<UT>& u,
 /// Pull kernel with a kernel-native dense output: each dot product lands
 /// straight in acc[r] / present[r], the arrays that *become* the result's
 /// bitmap form — no per-chunk buffers, no concatenation, no compaction.
-/// Chunks own disjoint stored-row ranges, so slot writes never race, and
-/// slot placement is positional: bit-identical for any thread count.
+/// Chunks own disjoint stored-row ranges, and acc holds storage_t (a byte
+/// per bool, see unstage()), so slot writes never race; slot placement is
+/// positional: bit-identical for any thread count.
 template <class SR, class AT, class UT, class MaskArg>
 Index mxv_pull_dense(const SparseStore<AT>& rows, const Vector<UT>& u,
                      const SR& sr, const VectorMaskProbe<MaskArg>& probe,
-                     Buf<typename SR::value_type>& acc,
+                     Buf<storage_t<typename SR::value_type>>& acc,
                      Buf<std::uint8_t>& present) {
   using ZT = typename SR::value_type;
   auto dv = u.dense_values();
@@ -254,7 +255,7 @@ Index mxv_pull_dense(const SparseStore<AT>& rows, const Vector<UT>& u,
 template <class SR, class AT, class UT, class MaskArg>
 Index mxv_push_dense(const SparseStore<AT>& cols, const Vector<UT>& u,
                      const SR& sr, const VectorMaskProbe<MaskArg>& probe,
-                     Buf<typename SR::value_type>& acc,
+                     Buf<storage_t<typename SR::value_type>>& acc,
                      Buf<std::uint8_t>& present) {
   using ZT = typename SR::value_type;
   auto ui = u.indices();
@@ -362,7 +363,7 @@ MxvMethod mxv(Vector<CT>& w, const MaskArg& mask, const Accum& accum,
       }
     }
     if (native) {
-      Buf<ZT> acc(out_dim, ZT{});
+      Buf<storage_t<ZT>> acc(out_dim, storage_t<ZT>{});
       Buf<std::uint8_t> present(out_dim, 0);
       Index cnt;
       if (method == MxvMethod::pull) {
@@ -373,12 +374,12 @@ MxvMethod mxv(Vector<CT>& w, const MaskArg& mask, const Accum& accum,
                                      probe, acc, present);
       }
       Buf<storage_t<CT>> vals;
-      if constexpr (std::is_same_v<storage_t<CT>, ZT>) {
+      if constexpr (std::is_same_v<storage_t<CT>, storage_t<ZT>>) {
         vals = std::move(acc);
       } else {
         vals.resize(out_dim);
         for (Index i = 0; i < out_dim; ++i)
-          vals[i] = static_cast<CT>(acc[i]);
+          vals[i] = static_cast<CT>(static_cast<ZT>(acc[i]));
       }
       w.commit_result_dense(std::move(vals), std::move(present), cnt);
       return method;

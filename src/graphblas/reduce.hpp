@@ -134,10 +134,11 @@ void reduce(Vector<CT>& w, const MaskArg& mask, const Accum& accum,
   const auto& s = input_rows(a, desc.transpose_a);
   using ZT = typename M::value_type;
   Buf<Index> ti;
-  Buf<ZT> tv;
+  Buf<storage_t<ZT>> tv;  // see unstage()
   const std::size_t nv = static_cast<std::size_t>(s.nvec());
   if (nv == 0) {
-    write_back(w, mask, accum, std::move(ti), std::move(tv), desc);
+    write_back(w, mask, accum, std::move(ti), unstage<ZT>(std::move(tv)),
+               desc);
     return;
   }
   const std::span<const Index> costs(s.p.data(), nv + 1);
@@ -175,7 +176,7 @@ void reduce(Vector<CT>& w, const MaskArg& mask, const Accum& accum,
           tv[counts[k]] = acc;
         }
       });
-  write_back(w, mask, accum, std::move(ti), std::move(tv), desc);
+  write_back(w, mask, accum, std::move(ti), unstage<ZT>(std::move(tv)), desc);
 }
 
 /// Scalar reduce of a matrix: ⊕ over all entries. Returns the monoid

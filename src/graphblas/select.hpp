@@ -79,7 +79,7 @@ void select(Matrix<CT>& c, const MaskArg& mask, const Accum& accum, SelOp f,
       });
   const Index nnz = platform::exclusive_scan(counts);
   t.i.resize(static_cast<std::size_t>(nnz));
-  t.x.resize(static_cast<std::size_t>(nnz));
+  Buf<storage_t<AT>> x(static_cast<std::size_t>(nnz));  // see unstage()
   platform::parallel_balanced_chunks(
       costs, [&](std::size_t, std::size_t klo, std::size_t khi) {
         for (std::size_t k = klo; k < khi; ++k) {
@@ -90,12 +90,13 @@ void select(Matrix<CT>& c, const MaskArg& mask, const Accum& accum, SelOp f,
                pos < s.vec_end(static_cast<Index>(k)); ++pos) {
             if (f(s.x[pos], row, s.i[pos], thunk)) {
               t.i[out] = s.i[pos];
-              t.x[out] = s.x[pos];
+              x[out] = s.x[pos];
               ++out;
             }
           }
         }
       });
+  t.x = unstage<AT>(std::move(x));
   for (std::size_t k = 0; k < nv; ++k) {
     if (counts[k + 1] > counts[k]) {
       t.h.push_back(s.vec_id(static_cast<Index>(k)));

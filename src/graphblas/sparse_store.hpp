@@ -27,6 +27,8 @@
 #include <optional>
 #include <span>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "graphblas/types.hpp"
 #include "platform/alloc.hpp"
@@ -40,6 +42,22 @@ namespace detail {
 struct ws_transpose_sort;
 struct ws_transpose_hist;
 }  // namespace detail
+
+/// Values that cost-balanced chunks write at computed positions are staged
+/// as storage_t<T>: Buf<bool> packs 64 entries into a word, and a chunk
+/// seam can fall anywhere, so two chunks would race on the read-modify-write
+/// of the word they share. (platform::parallel_for needs no staging: its
+/// blocks start on word boundaries.) unstage() hands the staged array over
+/// on the calling thread — a move for every type but bool, one serial
+/// conversion pass for bool.
+template <class T>
+[[nodiscard]] Buf<T> unstage(Buf<storage_t<T>>&& staged) {
+  if constexpr (std::is_same_v<T, storage_t<T>>) {
+    return std::move(staged);
+  } else {
+    return Buf<T>(staged.begin(), staged.end());
+  }
+}
 
 // All arrays live in gb::Buf so every byte is metered and every growth
 // is a fault-injection point (see platform/alloc.hpp).
@@ -343,9 +361,10 @@ struct SparseStore {
       }
     });
 
-    // Phase 3: scatter; each chunk advances only its own cursors.
+    // Phase 3: scatter; each chunk advances only its own cursors. Values are
+    // staged (see unstage()): a chunk's slots interleave with the others'.
     out.i.resize(i.size());
-    out.x.resize(x.size());
+    Buf<storage_t<T>> ox(x.size());
     platform::parallel_balanced_chunks_n(
         costs, nchunks, [&](std::size_t c, std::size_t klo, std::size_t khi) {
           Index* cur = hist.data() + c * md;
@@ -355,10 +374,11 @@ struct SparseStore {
             for (Index pos = p[k]; pos < p[k + 1]; ++pos) {
               Index slot = cur[i[pos]]++;
               out.i[slot] = major;
-              out.x[slot] = x[pos];
+              ox[slot] = x[pos];
             }
           }
         });
+    out.x = unstage<T>(std::move(ox));
     return out;
   }
 

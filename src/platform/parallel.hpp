@@ -169,7 +169,10 @@ class ExceptionTrap {
 
 /// parallel_for(n, body) — body(i) for i in [0, n), dynamically scheduled.
 /// An exception from body (e.g. an injected bad_alloc in a user operator)
-/// is captured and rethrown on the calling thread after the join.
+/// is captured and rethrown on the calling thread after the join. Items run
+/// in blocks of 256 consecutive i, a multiple of 64, so a body that writes
+/// only its own span [i*w, (i+1)*w) of a bit-packed Buf<bool> never shares
+/// a word with another block.
 template <class Body>
 void parallel_for(std::size_t n, Body&& body) {
   if (n < kParallelGrain || num_threads() == 1) {

@@ -1261,6 +1261,33 @@ TEST_F(KernelScratchFault, GovernorMxmHeapForcedChunks) {
       c_, Governor::Trip::cancel);
 }
 
+TEST_F(KernelScratchFault, MxmGustavsonPlainMaskSinglePassForcedChunks) {
+  // A plain mask runs Gustavson as one pass: each row staged at its M(i,:)
+  // offset, then compacted into exact-size arrays. An allocation failure or
+  // a governor trip anywhere along it must leave C as it was. The mask
+  // admits five of A*B's six entries (its explicit zero at (2, 2) drops the
+  // sixth unless structural) and rows 3 and 5 reach past A*B.
+  gb::Matrix<double> m(6, 6);
+  const gb::Index mr[] = {0, 0, 1, 2, 3, 4, 5, 5};
+  const gb::Index mc[] = {1, 4, 3, 2, 0, 0, 3, 5};
+  const double mv[] = {1, 1, 1, 0, 1, 1, 1, 1};
+  for (int k = 0; k < 8; ++k) m.set_element(mr[k], mc[k], mv[k]);
+  m.wait();
+  for (gb::Descriptor d : {gb::desc_default, gb::desc_s}) {
+    d.mxm = gb::MxmMethod::gustavson;
+    auto op = [&] {
+      gb::platform::ForcedChunks force(4);
+      gb::mxm(c_, m, gb::no_accum, gb::plus_times<double>(), a_, b_, d);
+    };
+    cxx_soak("mxm<mask>/gustavson single pass", op, c_);
+    cxx_governor_soak("governed mxm<mask>/gustavson single pass", op, c_,
+                      Governor::Trip::cancel);
+    cxx_governor_soak("governed mxm<mask>/gustavson single pass", op, c_,
+                      Governor::Trip::deadline);
+    EXPECT_EQ(c_.nvals(), d.mask_structural ? 6u : 5u);
+  }
+}
+
 TEST_F(KernelScratchFault, GovernorEwiseSelectReduceForcedChunks) {
   cxx_governor_soak(
       "governed ewise_add forced-chunks",

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -460,6 +461,300 @@ TEST(Parallel, MaskedMxmResolvesMaskViewBeforeForking) {
         << "method=" << static_cast<int>(cs.method)
         << " complement=" << cs.desc.mask_complement;
   }
+}
+
+namespace {
+
+/// A bool matrix of the given density whose stored values are true or
+/// false at random, so boolean semirings see both.
+gb::Matrix<bool> random_bool_matrix(Index m, Index n, double density,
+                                    std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::bernoulli_distribution keep(density), truth(0.7);
+  std::vector<Index> rows, cols;
+  std::vector<double> vals;
+  for (Index i = 0; i < m; ++i) {
+    for (Index j = 0; j < n; ++j) {
+      if (!keep(rng)) continue;
+      rows.push_back(i);
+      cols.push_back(j);
+      vals.push_back(truth(rng) ? 1.0 : -1.0);
+    }
+  }
+  gb::Matrix<double> x(m, n);
+  x.build(rows, cols, vals, gb::Plus{});
+  gb::Matrix<bool> out(m, n);
+  gb::apply(out, gb::no_mask, gb::no_accum, [](double v) { return v > 0; },
+            x);
+  return out;
+}
+
+}  // namespace
+
+TEST(Parallel, BoolOutputsFromParallelChunks) {
+  // SparseStore<bool>::x is a bit-packed Buf<bool>. A chunk that wrote its
+  // rows' values straight into it would share a word with the next chunk's
+  // first row: a race under TSan, lost bits without it. lor_land with no,
+  // plain and complemented masks, every method, four chunks on four
+  // threads, against the dense mimic. n = 200 keeps row ends off word
+  // boundaries for the dense-native output at the end.
+  constexpr Index n = 200;
+  const auto a = random_bool_matrix(n, n, 0.05, 31);
+  const auto mask = random_bool_matrix(n, n, 0.3, 32);
+  const auto da = ref::from_gb(a);
+  const auto dm = ref::from_gb(mask);
+  ThreadGuard guard(4);
+  gb::platform::ForcedChunks force(4);
+  struct Case {
+    bool masked;
+    gb::Descriptor desc;
+  };
+  for (Case cs : {Case{false, gb::desc_default}, Case{true, gb::desc_default},
+                  Case{true, gb::desc_c}}) {
+    ref::DenseMat<bool> expect(n, n);
+    ref::mxm(expect, cs.masked ? &dm : nullptr,
+             static_cast<const gb::Lor*>(nullptr), gb::lor_land(), da, da,
+             cs.desc);
+    for (auto method : {gb::MxmMethod::gustavson, gb::MxmMethod::dot,
+                        gb::MxmMethod::heap}) {
+      cs.desc.mxm = method;
+      gb::Matrix<bool> c(n, n);
+      if (cs.masked) {
+        gb::mxm(c, mask, gb::no_accum, gb::lor_land(), a, a, cs.desc);
+      } else {
+        gb::mxm(c, gb::no_mask, gb::no_accum, gb::lor_land(), a, a, cs.desc);
+      }
+      EXPECT_TRUE(ref::equal(expect, c))
+          << "masked=" << cs.masked
+          << " complement=" << cs.desc.mask_complement
+          << " method=" << static_cast<int>(method);
+    }
+    if (!cs.masked) {
+      // Gustavson's dense-native output: every slot of a bitmap C.
+      gb::Matrix<bool> c(n, n);
+      c.set_format(gb::FormatMode::bitmap);
+      cs.desc.mxm = gb::MxmMethod::gustavson;
+      gb::mxm(c, gb::no_mask, gb::no_accum, gb::lor_land(), a, a, cs.desc);
+      EXPECT_EQ(c.format(), gb::Format::bitmap);
+      EXPECT_TRUE(ref::equal(expect, c)) << "dense-native";
+    }
+  }
+}
+
+TEST(Parallel, BoolValuedKernelsStageTheirParallelWrites) {
+  // The same packing hazard in every other kernel that writes values from
+  // parallel chunks: apply and apply_indexop (sparse and bitmap), select,
+  // the bucket transpose, reduce to a vector, dense ewise, dense-native pull
+  // mxv and kronecker. Each must match its one-thread, one-chunk result.
+  // Row-parallel loops fork only past kParallelGrain rows, so a tall,
+  // narrow pair (9 columns: rows share 64-bit words) drives those.
+  constexpr Index n = 200, tall = 4200, narrow = 9;
+  const auto a = random_bool_matrix(n, n, 0.05, 33);
+  const auto b = random_bool_matrix(n, n, 0.05, 34);
+  const auto k = random_bool_matrix(12, 12, 0.3, 35);
+  const auto t = random_bool_matrix(tall, narrow, 0.4, 36);
+  auto dense = [](const gb::Matrix<bool>& x) {
+    auto d = x.dup();
+    d.set_format(gb::FormatMode::bitmap);
+    return d;
+  };
+  const auto ad = dense(a), bd = dense(b), td = dense(t),
+             ud = dense(random_bool_matrix(tall, narrow, 0.4, 37));
+  const auto flip = [](bool v) { return !v; };
+  const auto odd = [](bool v, Index i, Index j, std::int64_t) {
+    return v != ((i + j) % 2 == 1);
+  };
+  struct Out {
+    std::vector<gb::Matrix<bool>> mats;
+    std::vector<gb::Vector<bool>> vecs;
+  };
+  auto run = [&] {
+    Out out;
+    auto mat = [&](Index rows, Index cols) -> gb::Matrix<bool>& {
+      return out.mats.emplace_back(rows, cols);
+    };
+    gb::apply(mat(n, n), gb::no_mask, gb::no_accum, flip, a);
+    gb::apply(mat(n, n), gb::no_mask, gb::no_accum, flip, ad);
+    gb::apply_indexop(mat(n, n), gb::no_mask, gb::no_accum, odd, a,
+                      std::int64_t{0});
+    gb::apply_indexop(mat(n, n), gb::no_mask, gb::no_accum, odd, ad,
+                      std::int64_t{0});
+    gb::select(mat(n, n), gb::no_mask, gb::no_accum, gb::SelTril{}, a,
+               std::int64_t{0});
+    gb::transpose(mat(n, n), gb::no_mask, gb::no_accum, a.dup());
+    gb::ewise_add(mat(n, n), gb::no_mask, gb::no_accum, gb::Lxor{}, ad, bd);
+    gb::ewise_add(mat(tall, narrow), gb::no_mask, gb::no_accum, gb::Lxor{},
+                  td, ud);
+    gb::apply_indexop(mat(tall, narrow), gb::no_mask, gb::no_accum, odd, td,
+                      std::int64_t{0});
+    gb::kronecker(mat(n * 12, n * 12), gb::no_mask, gb::no_accum, gb::Land{},
+                  a, k);
+    auto& red = out.vecs.emplace_back(n);
+    gb::reduce(red, gb::no_mask, gb::no_accum, gb::lor_monoid(), a);
+    auto& pull = out.vecs.emplace_back(n);
+    pull.set_format(gb::FormatMode::bitmap);
+    gb::Descriptor d;
+    d.mxv = gb::MxvMethod::pull;
+    gb::mxv(pull, gb::no_mask, gb::no_accum, gb::lor_land(), a,
+            gb::Vector<bool>::full(n, true), d);
+    auto& tall_pull = out.vecs.emplace_back(tall);
+    tall_pull.set_format(gb::FormatMode::bitmap);
+    gb::mxv(tall_pull, gb::no_mask, gb::no_accum, gb::lor_land(), t,
+            gb::Vector<bool>::full(narrow, true), d);
+    return out;
+  };
+  Out serial;
+  {
+    ThreadGuard guard(1);
+    serial = run();
+  }
+  ThreadGuard guard(4);
+  gb::platform::ForcedChunks force(4);
+  const Out par = run();
+  for (std::size_t q = 0; q < serial.mats.size(); ++q)
+    EXPECT_TRUE(lagraph::isequal(serial.mats[q], par.mats[q])) << "matrix " << q;
+  for (std::size_t q = 0; q < serial.vecs.size(); ++q)
+    EXPECT_TRUE(lagraph::isequal(serial.vecs[q], par.vecs[q])) << "vector " << q;
+}
+
+TEST(Parallel, PlainMaskedGustavsonEdgeCasesMatchMimic) {
+  // The plain-masked Gustavson stages row i at M(i,:)'s offset and compacts
+  // afterwards. Cases that stress that bound: hypersparse A and mask, A rows
+  // with no mask row, mask rows with no A row, a valued mask with explicit
+  // zeros, an empty result and a full mask. Bit for bit against the mimic,
+  // with one chunk (the fused pass) and four (the staged pass), at 1, 2 and
+  // 4 threads.
+  constexpr Index n = 96;
+  auto build = [](std::vector<Index> r, std::vector<Index> c,
+                  gb::HyperMode hyper, auto&& value) {
+    std::vector<double> v;
+    for (std::size_t q = 0; q < r.size(); ++q) v.push_back(value(r[q], c[q]));
+    gb::Matrix<double> m(n, n, gb::Layout::by_row, hyper);
+    m.build(r, c, v, gb::Plus{});
+    return m;
+  };
+  // Row i, if keep_row(i), holds columns (5i + 7t) % n for t < len(i).
+  auto pattern = [](auto&& keep_row, auto&& len) {
+    std::vector<Index> r, c;
+    for (Index i = 0; i < n; ++i) {
+      if (!keep_row(i)) continue;
+      for (Index t = 0; t < len(i); ++t) {
+        r.push_back(i);
+        c.push_back((i * 5 + t * 7) % n);  // distinct for t < n: gcd(7, n) = 1
+      }
+    }
+    return std::make_pair(r, c);
+  };
+  auto odd_values = [](Index i, Index j) {
+    return 0.1 + static_cast<double>((i * 7 + j * 13) % 29) / 3.0;
+  };
+  auto ones = [](Index, Index) { return 1.0; };
+  auto zeros_every_third = [](Index i, Index j) {
+    return (i + 2 * j) % 3 == 0 ? 0.0 : 1.0;
+  };
+  auto all_rows = [](Index) { return true; };
+  auto rows_mod = [](Index m, Index r) {
+    return [m, r](Index i) { return i % m == r; };
+  };
+  auto len_of = [](Index l) { return [l](Index) { return l; }; };
+
+  const auto [ar, ac] = pattern(all_rows, [](Index i) { return 2 + i % 9; });
+  const auto a = build(ar, ac, gb::HyperMode::auto_mode, odd_values);
+  const auto [hr, hc] = pattern(rows_mod(11, 3), len_of(6));
+  const auto a_hyper = build(hr, hc, gb::HyperMode::always, odd_values);
+  const auto [er, ec] = pattern(rows_mod(2, 0), len_of(5));
+  const auto a_even = build(er, ec, gb::HyperMode::auto_mode, odd_values);
+  // Strictly upper A: A*A is strictly upper too, so a lower mask keeps none.
+  std::vector<Index> ur, uc, lr, lc, fr, fc;
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = 0; j < n; ++j) {
+      fr.push_back(i);
+      fc.push_back(j);
+      if (j > i && (i + j) % 4 == 0) {
+        ur.push_back(i);
+        uc.push_back(j);
+      }
+      if (j <= i) {
+        lr.push_back(i);
+        lc.push_back(j);
+      }
+    }
+  }
+  const auto a_upper = build(ur, uc, gb::HyperMode::auto_mode, odd_values);
+  const auto [mr, mc] = pattern(all_rows, len_of(24));
+  const auto [mhr, mhc] = pattern(rows_mod(7, 3), len_of(30));
+  const auto [mor, moc] = pattern(rows_mod(2, 1), len_of(30));
+
+  struct Case {
+    const char* name;
+    const gb::Matrix<double>& a;
+    gb::Matrix<double> mask;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"hypersparse A and mask", a_hyper,
+                   build(mhr, mhc, gb::HyperMode::always, ones)});
+  cases.push_back({"A rows with no mask row", a,
+                   build(mor, moc, gb::HyperMode::auto_mode, ones)});
+  cases.push_back({"mask rows with no A row", a_even,
+                   build(mr, mc, gb::HyperMode::auto_mode, ones)});
+  cases.push_back({"valued mask with explicit zeros", a,
+                   build(mr, mc, gb::HyperMode::auto_mode, zeros_every_third)});
+  cases.push_back({"empty result", a_upper,
+                   build(lr, lc, gb::HyperMode::auto_mode, ones)});
+  cases.push_back({"full mask", a,
+                   build(fr, fc, gb::HyperMode::auto_mode, zeros_every_third)});
+  cases.back().mask.set_format(gb::FormatMode::full);
+
+  for (const auto& cs : cases) {
+    const auto da = ref::from_gb(cs.a);
+    const auto dm = ref::from_gb(cs.mask);
+    for (gb::Descriptor d : {gb::desc_default, gb::desc_s}) {
+      ref::DenseMat<double> expect(n, n);
+      ref::mxm(expect, &dm, static_cast<const gb::Plus*>(nullptr),
+               gb::plus_times<double>(), da, da, d);
+      const auto want = ref::to_gb(expect);
+      d.mxm = gb::MxmMethod::gustavson;
+      for (int threads : {1, 2, 4}) {
+        for (int chunks : {1, 4}) {
+          ThreadGuard guard(threads);
+          gb::platform::ForcedChunks force(chunks);
+          gb::Matrix<double> c(n, n);
+          gb::mxm(c, cs.mask, gb::no_accum, gb::plus_times<double>(), cs.a,
+                  cs.a, d);
+          EXPECT_TRUE(bitwise_equal(want, c))
+              << cs.name << " structural=" << d.mask_structural
+              << " threads=" << threads << " chunks=" << chunks;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(cases[0].a.is_hyper() && cases[0].mask.is_hyper());
+  EXPECT_EQ(cases[4].mask.nvals(), n * (n + 1) / 2);
+}
+
+TEST(Parallel, PlainMaskedGustavsonIsOnePass) {
+  // The symbolic pass exists only to give parallel chunks disjoint output
+  // offsets; under a plain mask, M's pointer array already does, so the
+  // chunked kernel visits each row once, like the one-chunk fused pass.
+  // Every row visit is a governor poll, so the poll counts of four chunks
+  // and of one tell the passes apart. A complemented mask still counts
+  // first: there the gap is a whole pass over the rows.
+  auto a = rounding_values(lagraph::rmat(9, 8, 36));
+  const auto mask = masked_sweep_mask(9, gb::Format::sparse);
+  const Index rows = a.by_row().nvec();
+  auto polls = [&](gb::Descriptor d, int chunks) {
+    d.mxm = gb::MxmMethod::gustavson;
+    gb::platform::ForcedChunks force(chunks);
+    gb::platform::Governor gov;
+    gb::Matrix<double> c(a.nrows(), a.ncols());
+    gb::platform::GovernorScope governed(&gov);
+    gb::mxm(c, mask, gb::no_accum, gb::plus_times<double>(), a, a, d);
+    return gov.poll_count();
+  };
+  EXPECT_LT(polls(gb::desc_s, 4), polls(gb::desc_s, 1) + rows / 4)
+      << "a plain mask ran a second pass over the rows";
+  EXPECT_GE(polls(gb::desc_sc, 4), polls(gb::desc_sc, 1) + rows)
+      << "a complemented mask no longer counts first";
 }
 
 TEST(Determinism, EwiseAddAndMult) {
