@@ -172,8 +172,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"batch_max\": %zu,\n  \"batch_window_us\": %.0f,\n",
                batch_max, batch_window_us);
   for (int i = 0; i < 3; ++i) {
-    // clientsN_* keys are the batching-ON config, name-compatible with the
-    // PR9 file so tools/bench_compare.py gates the shared *_ms keys.
+    // clientsN_* keys are the batching-ON config.
     std::fprintf(f, "  \"clients%d_throughput_jps\": %.2f,\n", counts[i],
                  r_on[i].throughput_jps);
     std::fprintf(f, "  \"clients%d_p50_ms\": %.4f,\n", counts[i],

@@ -168,12 +168,12 @@ GrB_Info LAGraph_Service_new(LAGraph_Service* s, int workers,
                              double stall_ms);
 
 /* LAGraph_Service_new plus the batching admission stage: concurrent
- * bfs/sssp/pagerank submissions against the same snapshot coalesce into one
- * multi-source kernel run of up to batch_max requests, each batch staying
- * open at most batch_window_us microseconds (an idle worker dispatches an
- * open batch immediately, so window 0 adds no latency). batch_max <= 1
- * disables coalescing (identical to LAGraph_Service_new). Results are
- * bit-identical per request to unbatched runs. */
+ * submissions of an algorithm whose row in the served-algorithm table
+ * (kAlgorithms in lagraph/serving.cpp) has a batch hook, against the same
+ * snapshot, share one run of up to batch_max requests, each batch staying
+ * open at most batch_window_us microseconds (window 0 adds no latency).
+ * batch_max <= 1 disables coalescing (identical to LAGraph_Service_new).
+ * Results are bit-identical per request to unbatched runs. */
 GrB_Info LAGraph_Service_new_ex(LAGraph_Service* s, int workers,
                                 uint64_t queue_limit, double timeout_ms,
                                 uint64_t budget_bytes, uint64_t shed_bytes,
@@ -196,13 +196,13 @@ GrB_Info LAGraph_Service_publish(LAGraph_Service s, const char* name,
 GrB_Info LAGraph_Service_version(LAGraph_Service s, const char* name,
                                  uint64_t* version);
 
-/* Submit an algorithm job against the current snapshot of `graph`:
- * algo is "pagerank" (arg unused), "bfs" (arg = source), "sssp"
- * (arg = source, Bellman-Ford), "cc" / "scc" (arg unused, component labels)
- * or "coloring" (arg = seed). On admission *job_id receives the handle for
- * poll/wait/cancel. Returns GxB_OVERLOADED when the service sheds the
- * request (queue full or memory pressure) — nothing was enqueued and the
- * service remains serviceable. */
+/* Submit an algorithm job against the current snapshot of `graph`: algo
+ * names a row of the served-algorithm table (kAlgorithms in
+ * lagraph/serving.cpp), which also says what arg means. An unknown name
+ * returns GrB_INVALID_VALUE, an out-of-range source GrB_INVALID_INDEX. On
+ * admission *job_id receives the handle for poll/wait/cancel. Returns
+ * GxB_OVERLOADED when the service sheds the request (queue full or memory
+ * pressure) — nothing was enqueued and the service remains serviceable. */
 GrB_Info LAGraph_Service_submit(LAGraph_Service s, const char* algo,
                                 const char* graph, GrB_Index arg,
                                 uint64_t* job_id);

@@ -17,17 +17,13 @@
 // watchdog) lands on the same governor the kernels poll. Interruptions
 // surface as the job's StopReason, exactly like the direct Runner API.
 //
-// Batched execution: when the service policy enables coalescing (batch_max
-// > 1), traversal algorithms route through Service::submit_coalesced. The
-// planner keys a batch by (algorithm, snapshot identity): concurrent bfs /
-// sssp requests against the same published version coalesce into ONE
-// multi-source kernel run (bfs_level_ms / sssp_bellman_ford_ms — one row of
-// the frontier matrix per request, bit-identical per row to the solo runs),
-// and concurrent pagerank requests dedup into one run fanned out to every
-// member. De-batching scatters each row back into that member's
-// ServiceJobResult, so poll/wait/cancel/release are oblivious to batching;
-// a cancelled member is masked out of the scatter, never killing siblings.
-// batch_size on the result records how many requests shared the kernel run.
+// Served algorithms: serving.cpp holds one table, kAlgorithms[], with a row
+// per algorithm — its name, what the request argument means, the solo run
+// and an optional batch hook (dedup or multi-source). When the service
+// policy enables coalescing (batch_max > 1), requests for a row with a hook
+// route through Service::submit_coalesced, keyed by (algorithm, snapshot
+// identity), and each member's ServiceJobResult is bit-identical to its solo
+// run; a cancelled member is masked out, never killing siblings.
 #pragma once
 
 #include <cstdint>
@@ -96,13 +92,10 @@ class GraphService {
       std::function<ServiceJobResult(const Graph&, gb::platform::Governor&)>;
   std::uint64_t submit(const std::string& graph, Query q);
 
-  /// Named Runner-driven algorithm job: "pagerank" (arg unused), "bfs"
-  /// (arg = source, result = levels), "sssp" (arg = source, Bellman-Ford
-  /// distances), "cc" / "scc" (arg unused, component labels), "coloring"
-  /// (arg = seed, 1-based colors). Throws gb::Error invalid_value for
-  /// unknown names or an out-of-range source, OverloadedError when shed.
-  /// bfs/sssp/pagerank are batchable: with batch_max > 1 they coalesce per
-  /// (algorithm, snapshot) into one multi-source run (see the header note).
+  /// Runner-driven job for a served algorithm, named by its row in the
+  /// kAlgorithms table (serving.cpp), which also says what `arg` means.
+  /// Throws gb::Error invalid_value for an unknown name, invalid_index for
+  /// an out-of-range source, OverloadedError when shed.
   std::uint64_t submit_algorithm(const std::string& algo,
                                  const std::string& graph, std::uint64_t arg);
 

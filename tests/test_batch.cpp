@@ -13,7 +13,11 @@
 //   * the GraphService batch planner de-batches per-client results that
 //     match unbatched runs exactly, survives alloc-fault injection on the
 //     coalescing submit path, and returns per-row partial results when the
-//     batch's governor trips mid-run.
+//     batch's governor trips mid-run;
+//   * every algorithm in GraphService's served-algorithm table (kAlgorithms
+//     in serving.cpp) matches its direct driver bit for bit through the C++
+//     and C front ends with batching off and on, and a row without a batch
+//     hook (sssp) runs solo even when batching is on.
 //
 // Like test_service.cpp, everything here must be TSan-clean: any data-race
 // report is a real contract violation.
@@ -37,6 +41,8 @@
 #include <omp.h>
 #endif
 
+#include "capi/graphblas_c.h"
+#include "capi/lagraph_c.h"
 #include "graphblas/graphblas.hpp"
 #include "lagraph/checkpoint.hpp"
 #include "lagraph/lagraph.hpp"
@@ -683,4 +689,242 @@ TEST(GraphServiceBatch, RoutesComponentAlgorithmsThroughTheRunner) {
 
   EXPECT_THROW((void)svc.submit_algorithm("bfs", "g", 999), gb::Error);
   svc.quiesce();
+}
+
+TEST(GraphServiceBatch, NegativeCycleFailsOnlyTheSourceThatReachesIt) {
+  // Source 0 reaches the negative cycle 1 -> 2 -> 1; source 3 reaches only
+  // vertex 4. Queued together under a wide batch policy, each request must
+  // come back exactly as it would alone: source 0 fails, source 3 succeeds.
+  gb::Matrix<double> a(5, 5);
+  const std::vector<Index> r{0, 1, 2, 3}, c{1, 2, 1, 4};
+  const std::vector<double> w{1.0, -3.0, 1.0, 2.0};
+  a.build(r, c, w, gb::Second{});
+  const Graph same(a.dup(), lagraph::Kind::directed);
+  EXPECT_THROW((void)lagraph::sssp_bellman_ford(same, 0), gb::Error);
+  const auto truth = tuples(lagraph::sssp_bellman_ford(same, 3).dist);
+
+  GraphService::Options opts;
+  opts.service.workers = 1;
+  opts.service.queue_limit = 16;
+  opts.service.batch_max = 8;
+  opts.service.batch_window_us = 1e6;
+  GraphService svc(opts);
+  svc.publish("g", Graph(std::move(a), lagraph::Kind::directed));
+
+  std::atomic<bool> release{false};
+  std::atomic<bool> entered{false};
+  auto blocker = svc.core().submit([&](Governor& gov) {
+    entered.store(true);
+    while (!release.load() && !gov.cancelled()) sleep_ms(0.2);
+  });
+  while (!entered.load()) sleep_ms(0.2);
+
+  const std::uint64_t ja = svc.submit_algorithm("sssp", "g", 0);
+  const std::uint64_t jb = svc.submit_algorithm("sssp", "g", 3);
+  release.store(true);
+  EXPECT_EQ(blocker.wait(), Service::State::done);
+
+  EXPECT_THROW((void)svc.wait(ja), gb::Error);
+  EXPECT_EQ(svc.poll(ja), GraphService::JobState::failed);
+  const ServiceJobResult& rb = svc.wait(jb);
+  EXPECT_EQ(svc.poll(jb), GraphService::JobState::done);
+  EXPECT_EQ(std::make_pair(rb.idx, rb.vals), truth);
+  EXPECT_EQ(rb.batch_size, 0u);  // sssp always runs solo
+  EXPECT_EQ(svc.stats().batched_requests, 0u);
+  svc.quiesce();
+}
+
+// --- every served algorithm, both front ends ---------------------------------
+
+namespace {
+
+using Tuples = std::pair<std::vector<Index>, std::vector<double>>;
+
+/// One served algorithm as a client sees it: the requests sent (one per
+/// argument) and the direct driver each must match bit for bit.
+struct ServedCase {
+  const char* name;
+  std::vector<std::uint64_t> args;
+  bool coalesces;  ///< shares work across requests when batch_max > 1
+  Tuples (*direct)(const Graph&, std::uint64_t);
+};
+
+const std::vector<ServedCase>& served_cases() {
+  static const std::vector<ServedCase> cases = {
+      {"pagerank", {0, 0, 0}, true,
+       [](const Graph& g, std::uint64_t) {
+         return tuples(lagraph::pagerank(g, 0.85, 1e-9, 100).rank);
+       }},
+      {"bfs", {0, 1, 2}, true,
+       [](const Graph& g, std::uint64_t s) {
+         return tuples(
+             lagraph::bfs(g, s, lagraph::BfsVariant::direction_optimizing)
+                 .level);
+       }},
+      {"sssp", {0, 1, 2}, false,
+       [](const Graph& g, std::uint64_t s) {
+         return tuples(lagraph::sssp_bellman_ford(g, s).dist);
+       }},
+      {"cc", {0, 0, 0}, false,
+       [](const Graph& g, std::uint64_t) {
+         return tuples(lagraph::connected_components(g));
+       }},
+      {"scc", {0, 0, 0}, false,
+       [](const Graph& g, std::uint64_t) {
+         return tuples(lagraph::strongly_connected_components(g));
+       }},
+      {"coloring", {7, 8, 9}, false,
+       [](const Graph& g, std::uint64_t seed) {
+         return tuples(lagraph::coloring(g, seed));
+       }},
+  };
+  return cases;
+}
+
+/// Whether a service asked for `batch_max` coalesces: the forced-batch
+/// environment may override the requested policy.
+bool batching_on(std::size_t batch_max) {
+  ServicePolicy p;
+  p.batch_max = batch_max;
+  return Service(p).policy().batch_max > 1;
+}
+
+std::uint64_t coalescing_requests() {
+  std::uint64_t n = 0;
+  for (const ServedCase& c : served_cases()) {
+    if (c.coalesces) n += c.args.size();
+  }
+  return n;
+}
+
+/// GrB_Matrix copy of `a` for the C front end.
+GrB_Matrix to_c(const gb::Matrix<double>& a) {
+  std::vector<Index> r, c;
+  std::vector<double> v;
+  a.extract_tuples(r, c, v);
+  GrB_Matrix out = nullptr;
+  EXPECT_EQ(GrB_Matrix_new(&out, a.nrows(), a.ncols()), GrB_SUCCESS);
+  EXPECT_EQ(GrB_Matrix_build_FP64(out, r.data(), c.data(), v.data(),
+                                  r.size(), GrB_SECOND_FP64),
+            GrB_SUCCESS);
+  return out;
+}
+
+Tuples tuples_c(GrB_Vector v) {
+  GrB_Index n = 0;
+  EXPECT_EQ(GrB_Vector_nvals(&n, v), GrB_SUCCESS);
+  std::vector<Index> idx(n);
+  std::vector<double> vals(n);
+  EXPECT_EQ(GrB_Vector_extractTuples_FP64(idx.data(), vals.data(), &n, v),
+            GrB_SUCCESS);
+  return {idx, vals};
+}
+
+}  // namespace
+
+TEST(GraphServiceTable, EveryAlgorithmMatchesItsDirectDriverInCpp) {
+  const Graph truth_graph = make_graph(41, gb::FormatMode::sparse);
+  for (const std::size_t batch_max : {1u, 8u}) {
+    SCOPED_TRACE("batch_max " + std::to_string(batch_max));
+    GraphService::Options opts;
+    opts.service.workers = 1;
+    opts.service.queue_limit = 64;
+    opts.service.batch_max = batch_max;
+    GraphService svc(opts);
+    svc.publish("g", make_graph(41, gb::FormatMode::sparse));
+    const bool batching = batching_on(batch_max);
+
+    // Park the lone worker so each algorithm's requests queue together and
+    // coalesce where the algorithm allows it.
+    std::atomic<bool> release{false};
+    std::atomic<bool> entered{false};
+    auto blocker = svc.core().submit([&](Governor& gov) {
+      entered.store(true);
+      while (!release.load() && !gov.cancelled()) sleep_ms(0.2);
+    });
+    while (!entered.load()) sleep_ms(0.2);
+    std::vector<std::vector<std::uint64_t>> jobs;
+    for (const ServedCase& c : served_cases()) {
+      jobs.emplace_back();
+      for (std::uint64_t arg : c.args) {
+        jobs.back().push_back(svc.submit_algorithm(c.name, "g", arg));
+      }
+    }
+    release.store(true);
+    EXPECT_EQ(blocker.wait(), Service::State::done);
+
+    for (std::size_t k = 0; k < served_cases().size(); ++k) {
+      const ServedCase& c = served_cases()[k];
+      for (std::size_t j = 0; j < c.args.size(); ++j) {
+        SCOPED_TRACE(std::string(c.name) + " arg " + std::to_string(c.args[j]));
+        const ServiceJobResult& r = svc.wait(jobs[k][j]);
+        EXPECT_FALSE(lagraph::is_interruption(r.stop));
+        EXPECT_EQ(std::make_pair(r.idx, r.vals),
+                  c.direct(truth_graph, c.args[j]));
+        EXPECT_EQ(r.batch_size, batching && c.coalesces ? c.args.size() : 0u);
+      }
+    }
+    const ServiceStats st = svc.stats();
+    EXPECT_EQ(st.batched_requests, batching ? coalescing_requests() : 0u);
+
+    EXPECT_THROW((void)svc.submit_algorithm("quantum", "g", 0), gb::Error);
+    for (const char* name : {"bfs", "sssp"}) {
+      EXPECT_THROW((void)svc.submit_algorithm(name, "g", 64), gb::Error)
+          << name;
+    }
+    svc.quiesce();
+  }
+}
+
+TEST(GraphServiceTable, EveryAlgorithmMatchesItsDirectDriverInC) {
+  const Graph truth_graph = make_graph(41, gb::FormatMode::sparse);
+  GrB_Matrix a = to_c(truth_graph.adj());
+  for (const std::uint64_t batch_max : {1u, 8u}) {
+    SCOPED_TRACE("batch_max " + std::to_string(batch_max));
+    LAGraph_Service svc = nullptr;
+    ASSERT_EQ(LAGraph_Service_new_ex(&svc, 2, 64, 0, 0, 0, 0, batch_max,
+                                     2000.0),
+              GrB_SUCCESS);
+    ASSERT_EQ(LAGraph_Service_publish(svc, "g", a), GrB_SUCCESS);
+
+    // Submit everything before waiting, so requests race into batches in
+    // whatever groups the window forms; results must not depend on them.
+    std::vector<std::vector<std::uint64_t>> jobs;
+    for (const ServedCase& c : served_cases()) {
+      jobs.emplace_back();
+      for (std::uint64_t arg : c.args) {
+        std::uint64_t id = 0;
+        EXPECT_EQ(LAGraph_Service_submit(svc, c.name, "g", arg, &id),
+                  GrB_SUCCESS);
+        jobs.back().push_back(id);
+      }
+    }
+    for (std::size_t k = 0; k < served_cases().size(); ++k) {
+      const ServedCase& c = served_cases()[k];
+      for (std::size_t j = 0; j < c.args.size(); ++j) {
+        SCOPED_TRACE(std::string(c.name) + " arg " + std::to_string(c.args[j]));
+        GrB_Vector v = nullptr;
+        ASSERT_EQ(GrB_Vector_new(&v, 0), GrB_SUCCESS);
+        EXPECT_EQ(LAGraph_Service_wait(v, svc, jobs[k][j]), GrB_SUCCESS);
+        EXPECT_EQ(tuples_c(v), c.direct(truth_graph, c.args[j]));
+        EXPECT_EQ(GrB_Vector_free(&v), GrB_SUCCESS);
+        EXPECT_EQ(LAGraph_Service_release(svc, jobs[k][j]), GrB_SUCCESS);
+      }
+    }
+    std::uint64_t batched = 0;
+    EXPECT_EQ(LAGraph_Service_batch_stats(svc, nullptr, &batched),
+              GrB_SUCCESS);
+    EXPECT_EQ(batched, batching_on(batch_max) ? coalescing_requests() : 0u);
+
+    std::uint64_t id = 0;
+    EXPECT_EQ(LAGraph_Service_submit(svc, "quantum", "g", 0, &id),
+              GrB_INVALID_VALUE);
+    for (const char* name : {"bfs", "sssp"}) {
+      EXPECT_EQ(LAGraph_Service_submit(svc, name, "g", 64, &id),
+                GrB_INVALID_INDEX)
+          << name;
+    }
+    EXPECT_EQ(LAGraph_Service_free(&svc), GrB_SUCCESS);
+  }
+  EXPECT_EQ(GrB_Matrix_free(&a), GrB_SUCCESS);
 }
